@@ -3,10 +3,10 @@ set-level diagnostics built on them.
 
 Two routes produce a cloud.  The fixed-point route collects attracting and
 neutral fixed directions of every product up to a depth; it is deterministic
-and exhausts the cylinder structure.  The orbit route pushes a reference
-configuration through long random products and records the limit direction;
-it scales to systems whose product tables would be enormous and doubles as
-the stationary-measure sampler.
+and exhausts the cylinder structure.  The orbit route multiplies long random
+products until each collapses the circle and records the direction it
+collapses onto; it scales to systems whose product tables would be enormous
+and doubles as the stationary-measure sampler.
 
 Angles live in (0, pi] throughout, and every cloud is kept sorted.
 """
@@ -23,20 +23,14 @@ from .errors import NonConvergenceError
 from .geometry import (
     CLASS_TOL,
     PI,
-    normalize_angle,
     normalize_angles_array,
     proj_act_array,
 )
-from .runtime import run_partitioned
 from .semigroup import ProductTable, SystemConfig
 
-#: Orbit sampling always runs in this many independent streams, whatever the
-#: thread count, so results are reproducible bit for bit.
+#: Orbit sampling always runs in this many independent seeded streams, so a
+#: cloud is reproducible bit for bit from its seed.
 _BATCHES = 16
-
-#: Reference points pushed through the random products; convergence is
-#: declared when their images collapse in the chordal metric.
-_PROBES = (1j, 1.0 + 1j, -1.0 + 1j)
 
 
 @dataclass(frozen=True)
@@ -130,63 +124,65 @@ def repeller_points_fixedpoint(
 # ---------------------------------------------------------------------------
 # Orbit sampling.
 
-def _homog_chordal(n1: complex, d1: complex, n2: complex, d2: complex) -> float:
-    num = abs(n1 * d2 - n2 * d1)
-    s1 = math.sqrt(n1.real ** 2 + n1.imag ** 2 + d1.real ** 2 + d1.imag ** 2)
-    s2 = math.sqrt(n2.real ** 2 + n2.imag ** 2 + d2.real ** 2 + d2.imag ** 2)
-    return num / (s1 * s2)
-
-
 def _orbit_batch(cfg, seed, batch, count, tol, max_iter):
-    """Sample count limit directions from one reproducible stream."""
+    """Sample count limit directions from one reproducible stream.
+
+    Every live lane advances together: each step draws one letter per live
+    lane and multiplies it onto the right of that lane's product P.  P is
+    kept as four entry arrays rescaled so that the largest entry has modulus
+    one, and the logs of the scales taken out are summed; every letter has
+    determinant one, so det P = exp(-2 * sum log scale) without cancellation.
+
+    A lane stops at the first step where det P / |P|_F^2 < tol and returns
+    the angle of P's larger column.  With singular values s1 >= s2 that
+    ratio is s1 s2 / (s1^2 + s2^2), so s2 / s1 < tol (1 + O(tol^2)).  The
+    larger column has norm at least |P|_F / sqrt(2), and at most s2 of it
+    lies off the top left singular direction u1, so the returned direction
+    is within sqrt(2) tol (1 + O(tol^2)) of u1.  P sends a direction x to
+    within tol |tan angle(x, v1)| of u1, v1 being the top right singular
+    direction, so the returned direction is within (sqrt(2) + 1) tol of the
+    image of every direction at most 45 degrees from v1, and within about
+    sqrt(2) tol of the image of v1 itself and of directions near it.
+
+    Finished lanes leave the live set, so a step costs only the lanes still
+    running.  Lanes still live after max_iter steps come back as NaN and
+    their number is the second return value.
+    """
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(batch,)))
     cum = np.cumsum(cfg.weights())
     cum[-1] = 1.0
-    entries = [m.entries for m in cfg.matrices]
-    out = np.empty(count)
-    dropped = 0
-    for s in range(count):
-        pa, pb, pc, pd = 1.0, 0.0, 0.0, 1.0
-        steps = 0
-        done = False
-        while steps < max_iter and not done:
-            draws = rng.random(min(64, max_iter - steps))
-            for u in draws:
-                i = int(np.searchsorted(cum, u, side="right"))
-                a, b, c, d = entries[i]
-                pa, pb, pc, pd = (
-                    pa * a + pb * c,
-                    pa * b + pb * d,
-                    pc * a + pd * c,
-                    pc * b + pd * d,
-                )
-                scale = max(abs(pa), abs(pb), abs(pc), abs(pd))
-                pa, pb, pc, pd = pa / scale, pb / scale, pc / scale, pd / scale
-                steps += 1
-                nums = [pa * w + pb for w in _PROBES]
-                dens = [pc * w + pd for w in _PROBES]
-                diam = max(
-                    _homog_chordal(nums[0], dens[0], nums[1], dens[1]),
-                    _homog_chordal(nums[0], dens[0], nums[2], dens[2]),
-                    _homog_chordal(nums[1], dens[1], nums[2], dens[2]),
-                )
-                if diam < tol:
-                    done = True
-                    break
-        if not done:
-            out[s] = math.nan
-            dropped += 1
+    letters = np.array([m.entries for m in cfg.matrices]).T
+    out = np.full(count, np.nan)
+    live = np.arange(count)
+    pa, pb, pc, pd = np.ones(count), np.zeros(count), np.zeros(count), np.ones(count)
+    log_scale = np.zeros(count)
+    for _ in range(max_iter):
+        draws = np.searchsorted(cum, rng.random(live.size), side="right")
+        a, b, c, d = letters[:, draws]
+        pa, pb, pc, pd = (
+            pa * a + pb * c, pa * b + pb * d, pc * a + pd * c, pc * b + pd * d
+        )
+        scale = np.maximum(
+            np.maximum(np.abs(pa), np.abs(pb)), np.maximum(np.abs(pc), np.abs(pd))
+        )
+        pa, pb, pc, pd = pa / scale, pb / scale, pc / scale, pd / scale
+        log_scale += np.log(scale)
+        col1 = pa * pa + pc * pc
+        col2 = pb * pb + pd * pd
+        done = np.exp(-2.0 * log_scale) < tol * (col1 + col2)
+        if not done.any():
             continue
-        # The collapsed probe image is chordally near a real projective
-        # point; dividing by the larger homogeneous coordinate keeps the
-        # chart ratio small, so dropping its imaginary part moves the point
-        # by no more than the collapse tolerance even at the chart ends.
-        n0, d0 = nums[0], dens[0]
-        if abs(n0) >= abs(d0):
-            out[s] = normalize_angle(math.atan2((d0 / n0).real, 1.0))
-        else:
-            out[s] = normalize_angle(math.atan2(1.0, (n0 / d0).real))
-    return out, dropped
+        use1 = col1[done] >= col2[done]
+        out[live[done]] = normalize_angles_array(np.arctan2(
+            np.where(use1, pc[done], pd[done]), np.where(use1, pa[done], pb[done])
+        ))
+        keep = ~done
+        live = live[keep]
+        if live.size == 0:
+            break
+        pa, pb, pc, pd = pa[keep], pb[keep], pc[keep], pd[keep]
+        log_scale = log_scale[keep]
+    return out, int(live.size)
 
 
 def attractor_points_orbit(
@@ -198,23 +194,22 @@ def attractor_points_orbit(
 ) -> PointCloud:
     """Limit directions of random products drawn from the system's weights.
 
-    Sampling is split into a fixed number of seeded batches, so the cloud is
-    identical for any thread count.  Samples that fail to collapse within
-    max_iter are dropped; more than 1% of them is an error.
+    Sampling is split into a fixed number of seeded batches, so the cloud
+    depends only on the seed.  A sample is taken once its product's
+    singular-value ratio falls below tol (see `_orbit_batch` for the rule and
+    its angle-error bound).  Samples that fail to collapse within max_iter
+    steps are dropped; more than 1% of them is an error.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
     master = cfg.seed if seed is None else seed
-    sizes = [
-        samples // _BATCHES + (1 if b < samples % _BATCHES else 0)
-        for b in range(_BATCHES)
+    results = [
+        _orbit_batch(
+            cfg, master, b, samples // _BATCHES + (b < samples % _BATCHES),
+            tol, max_iter,
+        )
+        for b in range(min(samples, _BATCHES))
     ]
-    parts = [
-        (b, sz) for b, sz in enumerate(sizes) if sz > 0
-    ]
-    results = run_partitioned(
-        lambda p: _orbit_batch(cfg, master, p[0], p[1], tol, max_iter), parts
-    )
     pts = np.concatenate([r[0] for r in results])
     dropped = sum(r[1] for r in results)
     if dropped > 0.01 * samples:

@@ -384,8 +384,8 @@ def _cmd_furstenberg(args, run: _Run) -> int:
     sample = sample_stationary(cfg, args.samples or 10_000, tol=args.tol)
     residual = stationarity_residual(sample, cfg)
     cloud = attractor_points_fixedpoint(cfg, args.depth)
-    # args.tol is the sampling collapse threshold here; the bracket keeps
-    # the spectral default
+    # args.tol is the sampling singular-value-ratio threshold here; the
+    # bracket keeps the spectral default
     bracket = critical_exponent_bracket(cfg, depth=min(args.depth, 12))
     report = support_dimension_report(sample, cloud, cfg=cfg,
                                       delta_bracket=bracket)
@@ -634,8 +634,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--depth", type=int,
                        default=_DEFAULT_DEPTH.get(name, 10))
         p.add_argument("--samples", type=int, default=None)
-        # tol is a bisection width for the spectral commands and a collapse
-        # threshold for the sampling ones
+        # tol is a bisection width for the spectral commands and a
+        # singular-value-ratio threshold for the sampling ones
         p.add_argument(
             "--tol", type=float,
             default=1e-9 if name in ("attractor", "repeller", "furstenberg")

@@ -1,40 +1,10 @@
-"""Worker-pool plumbing.
+"""Worker count, as recorded by tools that describe the machine of a run.
 
-Enumeration and sampling split their work into a fixed number of partitions;
-partitions may run on a thread pool but results are always merged in partition
-order, so outputs are bit-identical for every worker count.  The pool size
-comes from the PROJIFS_THREADS environment variable when set.
+Every computation in projifs runs on the calling thread; there is no worker
+pool.
 """
-
-from __future__ import annotations
-
-import os
-from concurrent.futures import ThreadPoolExecutor
-
-_ENV_VAR = "PROJIFS_THREADS"
-_MAX_WORKERS = 16
 
 
 def worker_count() -> int:
-    raw = os.environ.get(_ENV_VAR)
-    if raw is not None:
-        try:
-            n = int(raw)
-        except ValueError:
-            n = 1
-        return max(1, min(n, _MAX_WORKERS))
-    return max(1, min(os.cpu_count() or 1, _MAX_WORKERS))
-
-
-def run_partitioned(fn, parts):
-    """Apply fn to each partition, in parallel when allowed.
-
-    Results come back as a list in the order of `parts`, regardless of the
-    worker count, so downstream merges are deterministic.
-    """
-    parts = list(parts)
-    workers = worker_count()
-    if workers == 1 or len(parts) <= 1:
-        return [fn(p) for p in parts]
-    with ThreadPoolExecutor(max_workers=min(workers, len(parts))) as pool:
-        return list(pool.map(fn, parts))
+    """Worker threads projifs uses: always one."""
+    return 1

@@ -15,7 +15,6 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from . import runtime
 from .errors import BudgetExceededError
 from .geometry import (
     IDENTITY2,
@@ -124,9 +123,9 @@ class ProductTable:
 
     level(n) is a (k^n, 2, 2) array in lexicographic word order (the word is
     recoverable as the base-k digits of the row index), renormalized to
-    determinant one.  norms(n) caches the matching norm vector.  Levels are
-    assembled by left-multiplying the previous level by each letter, one
-    partition per letter, so threaded runs merge in a fixed order.
+    determinant one.  norms(n) caches the matching norm vector.  A level is
+    one broadcast product: every letter left-multiplies the whole previous
+    level, and the letter-major result is exactly lexicographic order.
     """
 
     def __init__(self, cfg: SystemConfig, word_budget: int | None = None):
@@ -165,10 +164,7 @@ class ProductTable:
             lev = self._base.copy()
         else:
             prev = self.level(n - 1)
-            parts = runtime.run_partitioned(
-                lambda a: np.matmul(self._base[a], prev), list(range(self.cfg.k))
-            )
-            lev = np.concatenate(parts, axis=0)
+            lev = np.matmul(self._base[:, None], prev[None]).reshape(-1, 2, 2)
         renormalize_array(lev)
         self._levels[n] = lev
         self._words_built += len(lev)

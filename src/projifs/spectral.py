@@ -49,7 +49,7 @@ def partial_zeta(
     cfg: SystemConfig, s: float, depth: int, *, table: ProductTable | None = None
 ) -> ZetaValues:
     """Z_1(s) .. Z_depth(s) and their sum, each level summed with fsum so the
-    result is independent of threading and platform."""
+    result does not depend on summation order or platform."""
     if s < 0.0:
         raise ValueError("s must be nonnegative")
     table = table or ProductTable(cfg)

@@ -24,7 +24,7 @@ from projifs.attractor import (
     separation_report,
 )
 from projifs.errors import NonConvergenceError
-from projifs.geometry import PI, Matrix2, circ_dist
+from projifs.geometry import PI, Matrix2, circ_dist, normalize_angle
 from projifs.semigroup import SystemConfig
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
@@ -34,6 +34,12 @@ POSITIVE_PAIR = SystemConfig(
 )
 SCALING_TRANSLATION = SystemConfig(
     matrices=(Matrix2(0.5, 0.0, 0.0, 2.0), Matrix2(1.0, 1.0, 0.0, 1.0))
+)
+INVERSE_PAIR = SystemConfig(
+    matrices=(Matrix2(2.0, 0.0, 0.0, 0.5), Matrix2(0.5, 0.0, 0.0, 2.0))
+)
+ELLIPTIC_MIX = SystemConfig(
+    matrices=(Matrix2(2.0, 1.0, 1.0, 1.0), Matrix2(0.0, -1.0, 1.0, 0.0))
 )
 SINGLE_DIAG = SystemConfig(matrices=(Matrix2(2.0, 0.0, 0.0, 0.5),))
 SHEAR_ONLY = SystemConfig(matrices=(Matrix2(1.0, 1.0, 0.0, 1.0),))
@@ -131,6 +137,42 @@ class TestOrbitClouds:
     def test_parabolic_orbit_never_collapses(self):
         with pytest.raises(NonConvergenceError):
             attractor_points_orbit(SHEAR_ONLY, samples=16, seed=0, max_iter=150)
+
+    @pytest.mark.parametrize("samples", [1, 7, 15, 17, 33, 1003])
+    def test_every_sample_is_kept_or_dropped(self, samples):
+        # with 1000 steps a few of 1003 inverse-pair orbits stay uncollapsed
+        cloud = attractor_points_orbit(
+            INVERSE_PAIR, samples=samples, seed=4, max_iter=1000
+        )
+        assert cloud.samples == samples
+        assert len(cloud) + cloud.dropped == samples
+        assert (cloud.dropped > 0) == (samples == 1003)
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize(
+        "cfg", [POSITIVE_PAIR, SCALING_TRANSLATION, ELLIPTIC_MIX],
+        ids=["positive", "scaling_translation", "elliptic_mix"],
+    )
+    def test_direction_within_stopping_bound(self, cfg, seed):
+        """Replay the word of a one-sample cloud as an unnormalized scalar
+        product, stop it where its singular values first satisfy
+        s1 s2 / (s1^2 + s2^2) < tol, and check the sampled direction lies
+        within sqrt(2) tol of that product's top left singular direction."""
+        tol = 1e-4
+        (theta,) = attractor_points_orbit(cfg, samples=1, seed=seed, tol=tol).points
+        # one sample is the only lane of batch 0, which draws once per step
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
+        cum = np.cumsum(cfg.weights())
+        cum[-1] = 1.0
+        prod = np.eye(2)
+        for _ in range(3000):
+            letter = int(np.searchsorted(cum, rng.random(1)[0], side="right"))
+            prod = prod @ cfg.matrices[letter].array
+            u, s, _ = np.linalg.svd(prod)
+            if s[0] * s[1] / (s[0] ** 2 + s[1] ** 2) < tol:
+                break
+        top = normalize_angle(math.atan2(u[1, 0], u[0, 0]))
+        assert circ_dist(theta, top) <= math.sqrt(2.0) * tol * (1.0 + tol)
 
 
 class TestBoxDimension:
