@@ -43,6 +43,13 @@ _EXACT_PAIR_LIMIT = 4096
 
 _WINDOW = 64
 
+#: Fixed generic unit vector in R^4 that the collision sweep projects rows on.
+_SWEEP_DIRECTION = np.array([0.5377, 0.4412, -0.2118, 0.6893])
+_SWEEP_DIRECTION /= np.linalg.norm(_SWEEP_DIRECTION)
+
+#: Candidate pairs the collision sweep builds and evaluates at once.
+_SWEEP_CHUNK = 1 << 15
+
 
 @dataclass(frozen=True)
 class SystemConfig:
@@ -264,8 +271,9 @@ def _pairwise_min(
 
     One array: pairs within it.  Two arrays: pairs across.  Beyond
     _EXACT_PAIR_LIMIT the scan is a sorted sliding window, so the reported
-    minimum is an upper bound for the true one; exact collisions still sort
-    adjacent and are always caught.
+    minimum is an upper bound for the true one and the collision count a
+    lower bound: a run of more than _WINDOW identical rows has pairs farther
+    apart than the window, and those are never compared.
     """
     best = math.inf
     collisions = 0
@@ -325,6 +333,74 @@ def _pairwise_min(
     return best, collisions
 
 
+def _collision_count(arr: np.ndarray) -> int:
+    """Number of pairs within the stack closer than COLLISION_TOL: the count
+    the all-pairs scan of _pairwise_min(arr) gives, without visiting every
+    pair.
+
+    Rows are projected onto the unit vector _SWEEP_DIRECTION and sorted.
+    Only pairs whose projections differ by at most a radius R are candidates,
+    and each is evaluated as the all-pairs scan does it: the log-norm of
+    adj(A_i) @ A_j with i < j in row order, compared with COLLISION_TOL.
+
+    R keeps every pair that scan counts.  Let F = max ||A||_F and
+    drift = max |det A - 1| over the stack, eta = drift + 2 eps F^2 (which
+    bounds the true drift through the rounding of the determinants),
+    e = 1.01 eps F^2 (which bounds the rounding of the computed C' = adj(A) B,
+    whose entries are two-term dot products) and C = adj(A) B exactly.
+    Since A C = det(A) B, B - A = A (C - I) + (1 - det A) B, and the
+    projections differ by at most ||B - A||_F <= F (||C' - I||_F + e + eta).
+    A computed log-norm below COLLISION_TOL needs half trace t > 0 and a
+    traceless part N < 1.001 COLLISION_TOL max(1, t), because the log-norm
+    scales N by at least 1/max(1, t).  As t^2 - det C' is at most N^2 / 2 and
+    det C' is within 2 eta + eta^2 + ||C|| e + e^2 / 2 of one, this gives
+    t <= 1 + eta + 2.13 e and
+    ||B - A||_F / F < 1.001 COLLISION_TOL (1 + eta + 2.13 e) + 3.83 eta
+    + 1.42 eta^2 + 3.01 e + 2.01 eta e + 6.4 e^2.
+    R = F (4 COLLISION_TOL + 8 eta) exceeds that by more than
+    2.4 COLLISION_TOL F, far above the rounding of the projections, whenever
+    R < 2 F (then eta < 0.25 and e < eta / 1.98); from 2 F on it covers
+    every projection, as |p| <= F.
+
+    Candidates are built and evaluated _SWEEP_CHUNK pairs at a time (or one
+    row's candidates, if more), so memory stays flat when R covers the whole
+    stack.
+    """
+    n = len(arr)
+    if n < 2:
+        return 0
+    flat = arr.reshape(n, 4)
+    f2 = float((flat * flat).sum(axis=1).max())
+    det = arr[:, 0, 0] * arr[:, 1, 1] - arr[:, 0, 1] * arr[:, 1, 0]
+    eta = float(np.abs(det - 1.0).max()) + 2.0 * np.finfo(float).eps * f2
+    radius = math.sqrt(f2) * (4.0 * COLLISION_TOL + 8.0 * eta)
+    proj = flat @ _SWEEP_DIRECTION
+    order = np.argsort(proj)
+    p = proj[order]
+    stop = np.searchsorted(p, p + radius, side="right")
+    # partners[s]: candidates after sorted position s; ends: running total
+    partners = stop - np.arange(1, n + 1)
+    ends = np.cumsum(partners)
+    adj = _adjugates(arr)
+    count = 0
+    lo = 0
+    while lo < n:
+        done = int(ends[lo - 1]) if lo else 0
+        hi = max(lo + 1, int(
+            np.searchsorted(ends, done + _SWEEP_CHUNK, side="right")
+        ))
+        reps = partners[lo:hi]
+        first = np.repeat(np.arange(lo, hi), reps)
+        rank = np.arange(done, int(ends[hi - 1])) - np.repeat(
+            ends[lo:hi] - reps, reps
+        )
+        a, b = order[first], order[first + 1 + rank]
+        c = np.matmul(adj[np.minimum(a, b)], arr[np.maximum(a, b)])
+        count += int((_displacement_norms_array(c) < COLLISION_TOL).sum())
+        lo = hi
+    return count
+
+
 # ---------------------------------------------------------------------------
 # Separation profiles.
 
@@ -343,7 +419,9 @@ class DiophantineProfile:
     `fitted_c` is the exponential decay rate of the per-depth minima (the
     base c in min_n ~ C c^n), clamped into (0, 1]; None when fewer than two
     finite rows exist past depth 2.  `total_collisions` counts exact
-    coincidences of distinct words, the signature of a non-free system.
+    coincidences of distinct words, the signature of a non-free system; on
+    levels of more than _EXACT_PAIR_LIMIT words it is a lower bound, because
+    the windowed scan misses pairs within large groups of equal products.
     """
 
     rows: tuple[SeparationRow, ...]

@@ -27,7 +27,7 @@ from .semigroup import (
     Word,
     common_fixed_points,
     discreteness_profile,
-    _pairwise_min,
+    _collision_count,
 )
 
 #: log 2 shows up as the norm-equivalence penalty for the max-entry norm,
@@ -163,9 +163,9 @@ def _collision_note(cfg: SystemConfig, depth: int, table: ProductTable) -> str |
     check_depth = 1
     while cfg.k ** (check_depth + 1) <= 2048 and check_depth < min(depth, 11):
         check_depth += 1
+    # same count as the all-pairs scan; see _collision_count for the sweep
     for n in range(2, check_depth + 1):
-        _, coll = _pairwise_min(table.level(n))
-        if coll:
+        if _collision_count(table.level(n)):
             return (
                 "system is not free: distinct words repeat a matrix from "
                 f"depth {n}; zeta weights count words, not matrices"

@@ -1,9 +1,11 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import random_sl2
+from projifs.config import parse_config, parse_family
 from projifs.errors import BudgetExceededError
 from projifs.geometry import IDENTITY2, Matrix2, op_norm
 from projifs.semigroup import (
@@ -16,7 +18,10 @@ from projifs.semigroup import (
     left_invariant_dist,
     word_product,
 )
-from projifs import semigroup
+from projifs import semigroup, spectral
+from projifs.spectral import critical_exponent_bracket
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 SHEAR = Matrix2(1.0, 1.0, 0.0, 1.0)
 DIAG2 = Matrix2(2.0, 0.0, 0.0, 0.5)
@@ -183,6 +188,161 @@ class TestPairwiseMin:
         d, coll = semigroup._pairwise_min(a, b)
         assert coll == 1
         assert d == pytest.approx(left_invariant_dist(DIAG2, SHEAR))
+
+
+def _random_stack(rng, n, max_log):
+    return np.stack([random_sl2(rng, max_log).array for _ in range(n)])
+
+
+def _near_copies(rng, rows, radii):
+    """A @ (I + X) for each row A, with X traceless of Frobenius norm r:
+    log-distance r from A up to O(r^2) and the rounding of the product."""
+    out = []
+    for a, r in zip(rows, radii):
+        x = rng.normal(size=3)
+        x = np.array([[x[0], x[1]], [x[2], -x[0]]])
+        x *= r / np.linalg.norm(x)
+        out.append(a @ (np.eye(2) + x))
+    return np.stack(out)
+
+
+def _shuffled(rng, *parts):
+    arr = np.concatenate(parts)
+    return arr[rng.permutation(len(arr))]
+
+
+def _collision_stacks():
+    """Stacks that stress the collision sweep, each with its own seed."""
+    tol = semigroup.COLLISION_TOL
+    rng = np.random.default_rng(7)
+    base = _random_stack(rng, 200, 3.0)
+    dupes = _shuffled(rng, base, base[rng.integers(200, size=40)])
+    rng = np.random.default_rng(8)
+    base = _random_stack(rng, 150, 3.0)
+    near = _shuffled(
+        rng, base,
+        _near_copies(rng, base[:50], [0.9 * tol] * 25 + [1.1 * tol] * 25),
+    )
+    rng = np.random.default_rng(9)
+    base = _random_stack(rng, 150, 3.0)
+    signs = _shuffled(rng, base, -base[:50])
+    # rounding of adj(A) @ B is comparable to COLLISION_TOL at norm 1e3
+    rng = np.random.default_rng(10)
+    base = _random_stack(rng, 150, 7.0)
+    noisy = _shuffled(
+        rng, base, _near_copies(rng, base, tol * rng.uniform(0.2, 3.0, 150))
+    )
+    # c A counts as a collision with A (its log-norm ignores scalars), and
+    # its determinant c^2 widens the radius
+    rng = np.random.default_rng(13)
+    base = _random_stack(rng, 150, 3.0)
+    scaled = _shuffled(rng, base, 1.01 * base[:20])
+    # norms near 1e8: every pair is a candidate
+    rng = np.random.default_rng(11)
+    base = _random_stack(rng, 120, 19.0)
+    large = _shuffled(rng, base, base[:30])
+    return {
+        "duplicates": dupes, "near_tol": near, "minus_a": signs,
+        "rounding_noise": noisy, "scaled": scaled, "large_norm": large,
+    }
+
+
+COLLISION_STACKS = _collision_stacks()
+
+
+class TestCollisionCount:
+    @pytest.mark.parametrize("name", sorted(COLLISION_STACKS))
+    @pytest.mark.parametrize("chunk", [None, 1, 7])
+    def test_matches_all_pairs_scan(self, name, chunk, monkeypatch):
+        arr = COLLISION_STACKS[name]
+        if chunk is not None:
+            monkeypatch.setattr(semigroup, "_SWEEP_CHUNK", chunk)
+        assert semigroup._collision_count(arr) == semigroup._pairwise_min(arr)[1]
+
+    def test_planted_cases_count_as_expected(self):
+        # 40 planted copies: at least 40 colliding pairs
+        assert semigroup._collision_count(COLLISION_STACKS["duplicates"]) >= 40
+        # only the 25 copies at 0.9 tol collide, not the 25 at 1.1 tol
+        assert semigroup._collision_count(COLLISION_STACKS["near_tol"]) == 25
+        # -A is the same projective map but not the same matrix
+        assert semigroup._collision_count(COLLISION_STACKS["minus_a"]) == 0
+        assert semigroup._collision_count(COLLISION_STACKS["scaled"]) == 20
+        assert semigroup._collision_count(COLLISION_STACKS["rounding_noise"]) > 0
+
+    def test_pairs_are_evaluated_in_row_order(self):
+        # at norm ~3e3 the rounding of adj(A) @ B and of adj(B) @ A can put
+        # a pair near COLLISION_TOL on opposite sides of it
+        tol = semigroup.COLLISION_TOL
+        rng = np.random.default_rng(12)
+        base = _random_stack(rng, 300, 8.0)
+        near = _near_copies(rng, base, tol * rng.uniform(0.9, 1.1, 300))
+        order_matters = 0
+        for a, b in zip(base, near):
+            exact = []
+            for pair in (np.stack([a, b]), np.stack([b, a])):
+                exact.append(semigroup._pairwise_min(pair)[1])
+                assert semigroup._collision_count(pair) == exact[-1]
+            order_matters += exact[0] != exact[1]
+        assert order_matters > 0
+
+    def test_radius_filters_small_norms_and_covers_large(self, monkeypatch):
+        seen = []
+        evaluate = semigroup._displacement_norms_array
+
+        def counting(c):
+            seen.append(len(c))
+            return evaluate(c)
+
+        monkeypatch.setattr(semigroup, "_displacement_norms_array", counting)
+        for name, every_pair in (("near_tol", False), ("large_norm", True)):
+            arr = COLLISION_STACKS[name]
+            seen.clear()
+            semigroup._collision_count(arr)
+            all_pairs = len(arr) * (len(arr) - 1) // 2
+            assert (sum(seen) == all_pairs) is every_pair
+            assert sum(seen) <= all_pairs
+
+    def test_singletons(self):
+        assert semigroup._collision_count(np.empty((0, 2, 2))) == 0
+        assert semigroup._collision_count(np.stack([DIAG2.array])) == 0
+
+
+def _collision_systems():
+    """Systems and largest level sizes for the equivalence check."""
+    plain = sorted(
+        p for p in CONFIGS.glob("*.cfg") if not p.stem.startswith("family_")
+    )
+    out = [pytest.param(parse_config(p), 1024, id=p.stem) for p in plain]
+    out += [
+        pytest.param(parse_config(CONFIGS / f"{name}.cfg"), 2048, id=f"{name}-2048")
+        for name in ("shared_fixed_pair", "scaling_translation")
+    ]
+    limit = parse_family(CONFIGS / "family_identity_limit.cfg")
+    out += [
+        pytest.param(limit.at(t), 2048, id=f"identity_limit-{t}")
+        for t in (0.0, 0.1, 0.5)
+    ]
+    interior = parse_family(CONFIGS / "family_hyperbolic_interior.cfg")
+    out += [
+        pytest.param(interior.at(t), 2048, id=f"interior-{t:.4f}")
+        for t in interior.grid[::12]
+    ]
+    return out
+
+
+@pytest.mark.parametrize("cfg,rows", _collision_systems())
+def test_collision_count_and_note_match_all_pairs_scan(cfg, rows, monkeypatch):
+    table = ProductTable(cfg)
+    exact = {}
+    depth = 1
+    while cfg.k ** depth <= rows and depth <= 11:
+        lev = table.level(depth)
+        exact[id(lev)] = semigroup._pairwise_min(lev)[1]
+        assert semigroup._collision_count(lev) == exact[id(lev)], depth
+        depth += 1
+    notes = critical_exponent_bracket(cfg, depth - 1, table=table).notes
+    monkeypatch.setattr(spectral, "_collision_count", lambda lev: exact[id(lev)])
+    assert critical_exponent_bracket(cfg, depth - 1, table=table).notes == notes
 
 
 class TestDiophantineProfile:
