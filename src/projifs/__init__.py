@@ -42,7 +42,6 @@ from .config import (
     write_config,
 )
 from .errors import (
-    BracketingError,
     BudgetExceededError,
     CertificationError,
     ConfigError,
@@ -66,18 +65,13 @@ from .geometry import (
     FixedPointData,
     Matrix2,
     MatrixClass,
-    ProjPoint,
     ccw_span,
-    chordal_dist,
     circ_dist,
     classify,
     fixed_points,
-    mobius_act,
     op_norm,
     proj_act,
     proj_deriv,
-    psi,
-    psi_inv,
     singular_directions,
 )
 from .semigroup import (
@@ -88,7 +82,6 @@ from .semigroup import (
     common_fixed_points,
     diophantine_profile,
     discreteness_profile,
-    enumerate_words,
     left_invariant_dist,
     word_product,
 )
@@ -106,7 +99,6 @@ from .subsystems import (
     GammaLowerBound,
     Pivot,
     ReducibleVerdict,
-    a_infty_truncation,
     elliptic_reduction,
     find_pivot,
     gamma_lower_bound,

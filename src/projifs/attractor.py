@@ -13,7 +13,6 @@ Angles live in (0, pi] throughout, and every cloud is kept sorted.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -21,12 +20,12 @@ import numpy as np
 
 from .errors import NonConvergenceError
 from .geometry import (
-    CLASS_TOL,
     PI,
+    attracting_directions_array,
     normalize_angles_array,
     proj_act_array,
 )
-from .semigroup import ProductTable, SystemConfig
+from .semigroup import SystemConfig
 
 #: Orbit sampling always runs in this many independent seeded streams, so a
 #: cloud is reproducible bit for bit from its seed.
@@ -45,14 +44,6 @@ class PointCloud:
         return int(self.points.size)
 
 
-def _inverse_cfg(cfg: SystemConfig) -> SystemConfig:
-    return dataclasses.replace(
-        cfg,
-        matrices=tuple(m.inverse() for m in cfg.matrices),
-        source_rows=None,
-    )
-
-
 def _sorted_dedupe(pts: np.ndarray, merge_tol: float) -> np.ndarray:
     if pts.size == 0:
         return pts
@@ -65,48 +56,14 @@ def _sorted_dedupe(pts: np.ndarray, merge_tol: float) -> np.ndarray:
 
 
 def attractor_points_fixedpoint(
-    cfg: SystemConfig,
-    depth: int,
-    merge_tol: float = 1e-12,
-    *,
-    table: ProductTable | None = None,
+    cfg: SystemConfig, depth: int, merge_tol: float = 1e-12
 ) -> PointCloud:
     """Attracting and neutral fixed directions of all products of length
     1..depth, merged at merge_tol."""
-    table = table or ProductTable(
-        dataclasses.replace(
-            cfg, depth_cap=max(cfg.depth_cap, depth), source_rows=None
-        )
-    )
-    chunks = []
-    eye = np.eye(2)
-    for n in range(1, depth + 1):
-        lev = table.level(n)
-        a = lev[:, 0, 0]
-        b = lev[:, 0, 1]
-        c = lev[:, 1, 0]
-        d = lev[:, 1, 1]
-        tr = a + d
-        pm_id = (
-            (np.abs(lev - eye).max(axis=(1, 2)) <= CLASS_TOL)
-            | (np.abs(lev + eye).max(axis=(1, 2)) <= CLASS_TOL)
-        )
-        hyp = np.abs(tr) > 2.0 + CLASS_TOL
-        par = (np.abs(np.abs(tr) - 2.0) <= CLASS_TOL) & ~pm_id
-        sel = hyp | par
-        if not sel.any():
-            continue
-        disc = np.sqrt(np.maximum(tr * tr - 4.0, 0.0))
-        lam = 0.5 * (tr + np.sign(tr) * disc)
-        v1x, v1y = b, lam - a
-        v2x, v2y = lam - d, c
-        use1 = v1x * v1x + v1y * v1y >= v2x * v2x + v2y * v2y
-        vx = np.where(use1, v1x, v2x)
-        vy = np.where(use1, v1y, v2y)
-        chunks.append(
-            normalize_angles_array(np.arctan2(vy[sel], vx[sel]))
-        )
-    pts = np.concatenate(chunks) if chunks else np.empty(0)
+    pts = np.concatenate([np.empty(0)] + [
+        attracting_directions_array(cfg.table.level(n))
+        for n in range(1, depth + 1)
+    ])
     return PointCloud(
         points=_sorted_dedupe(pts, merge_tol),
         method="fixed-point",
@@ -118,7 +75,7 @@ def repeller_points_fixedpoint(
     cfg: SystemConfig, depth: int, merge_tol: float = 1e-12
 ) -> PointCloud:
     """The repeller is the attractor of the inverted alphabet."""
-    return attractor_points_fixedpoint(_inverse_cfg(cfg), depth, merge_tol)
+    return attractor_points_fixedpoint(cfg.inverse(), depth, merge_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +188,7 @@ def repeller_points_orbit(
     tol: float = 1e-9,
     max_iter: int = 3000,
 ) -> PointCloud:
-    return attractor_points_orbit(_inverse_cfg(cfg), samples, seed, tol, max_iter)
+    return attractor_points_orbit(cfg.inverse(), samples, seed, tol, max_iter)
 
 
 # ---------------------------------------------------------------------------

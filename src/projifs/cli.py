@@ -6,9 +6,11 @@ time, and output files; re-running a manifest with `rerun_manifest`
 reproduces the CSV outputs byte for byte (fixed summation orders, seeded
 sampling, repr-exact float formatting).
 
-Exit codes: 0 success, 2 inconclusive certification, 1 error.  A run that
-exhausts its enumeration budget keeps the rows already written, flags the
-manifest as partial, and exits 1.
+Exit codes: 0 success, 2 inconclusive certification, 1 error.  A config's
+`depth_cap` bounds the --depth a run may ask for: a deeper request exits 1
+with the manifest flagged partial, after `enumerate` and `zeta` have written
+the levels up to the cap.  A level beyond the product table's memory guard
+ends a run the same way.
 
 CSV column orders (one header line, comma separated, '.' decimal):
   classify         index,a,b,c,d,trace,class
@@ -71,11 +73,7 @@ from .furstenberg import (
     support_dimension_report,
 )
 from .geometry import MatrixClass, classify
-from .semigroup import (
-    ProductTable,
-    common_fixed_points,
-    diophantine_profile,
-)
+from .semigroup import common_fixed_points, diophantine_profile
 from .spectral import critical_exponent_bracket, quick_lower_bounds
 from .subsystems import (
     elliptic_reduction,
@@ -91,7 +89,8 @@ _CONSISTENCY_SLACK = 0.05
 
 def _cell(v) -> str:
     if isinstance(v, float):
-        return repr(v)
+        # numpy scalars subclass float but repr as np.float64(...)
+        return repr(float(v))
     if v is None:
         return ""
     return str(v)
@@ -106,15 +105,6 @@ def _write_csv(path: Path, header, rows) -> None:
 
 def _word_str(word) -> str:
     return "-".join(str(i) for i in word)
-
-
-def _level_word(k: int, n: int, idx: int) -> tuple[int, ...]:
-    # base-k digits of the row index, most significant first
-    digits = []
-    for _ in range(n):
-        digits.append(idx % k)
-        idx //= k
-    return tuple(reversed(digits))
 
 
 class _Run:
@@ -160,7 +150,18 @@ class _Run:
             fh.write("\n")
 
 
-def _load_config(args):
+def _check_depth(cfg, depth: int) -> None:
+    """The one place a config's depth_cap is enforced."""
+    if depth > cfg.depth_cap:
+        raise BudgetExceededError(
+            f"depth {depth} exceeds cap {cfg.depth_cap}",
+            depth_reached=cfg.depth_cap,
+        )
+
+
+def _load_config(args, depth: int | None = None):
+    """The config of a run, with --seed and --norm applied; a run that
+    enumerates to `depth` is checked against the config's depth_cap."""
     cfg = parse_config(args.config)
     updates = {}
     if getattr(args, "seed", None) is not None:
@@ -169,6 +170,8 @@ def _load_config(args):
         updates["norm"] = args.norm
     if updates:
         cfg = dataclasses.replace(cfg, source_rows=None, **updates)
+    if depth is not None:
+        _check_depth(cfg, depth)
     return cfg
 
 
@@ -193,17 +196,18 @@ def _cmd_classify(args, run: _Run) -> int:
 
 def _cmd_enumerate(args, run: _Run) -> int:
     cfg = _load_config(args)
-    table = ProductTable(cfg)
+    table = cfg.table
     code = 0
     with open(run.path("words.csv"), "w", encoding="utf-8",
               newline="") as fh:
         fh.write("depth,word,norm\n")
         try:
-            for n in range(1, args.depth + 1):
+            for n in range(1, min(args.depth, cfg.depth_cap) + 1):
                 norms = table.norms(n)
                 for idx, norm in enumerate(norms):
-                    word = _word_str(_level_word(cfg.k, n, idx))
+                    word = _word_str(table.word(n, idx))
                     fh.write(f"{n},{word},{float(norm)!r}\n")
+            _check_depth(cfg, args.depth)
         except BudgetExceededError as exc:
             print(f"budget exceeded, output truncated: {exc}",
                   file=sys.stderr)
@@ -214,12 +218,12 @@ def _cmd_enumerate(args, run: _Run) -> int:
 
 def _cmd_zeta(args, run: _Run) -> int:
     cfg = _load_config(args)
-    table = ProductTable(cfg)
     levels = []
     code = 0
     try:
-        for n in range(1, args.depth + 1):
-            levels.append(math.fsum(table.norms(n) ** (-2.0 * args.s)))
+        for n in range(1, min(args.depth, cfg.depth_cap) + 1):
+            levels.append(math.fsum(cfg.table.norms(n) ** (-2.0 * args.s)))
+        _check_depth(cfg, args.depth)
     except BudgetExceededError as exc:
         print(f"budget exceeded, output truncated: {exc}", file=sys.stderr)
         run.partial = True
@@ -239,7 +243,7 @@ def _cmd_zeta(args, run: _Run) -> int:
 def _cmd_pressure(args, run: _Run) -> int:
     from .spectral import pressure_bracket
 
-    cfg = _load_config(args)
+    cfg = _load_config(args, args.depth)
     ev = pressure_bracket(cfg, args.s, args.depth)
     _write_csv(run.path("pressure.csv"), ("s", "lower", "upper", "depth"),
                [(ev.s, ev.lower, ev.upper, ev.depth_used)])
@@ -248,7 +252,7 @@ def _cmd_pressure(args, run: _Run) -> int:
 
 
 def _cmd_critexp(args, run: _Run) -> int:
-    cfg = _load_config(args)
+    cfg = _load_config(args, args.depth)
     bracket = critical_exponent_bracket(cfg, depth=args.depth, tol=args.tol)
     _write_csv(run.path("critexp.csv"),
                ("s_lo", "s_hi", "depth", "norm", "certified"),
@@ -262,7 +266,7 @@ def _cmd_critexp(args, run: _Run) -> int:
 
 
 def _cloud_command(args, run: _Run, fixedpoint, orbit, stem: str) -> int:
-    cfg = _load_config(args)
+    cfg = _load_config(args, None if args.samples is not None else args.depth)
     if args.samples is not None:
         cloud = orbit(cfg, args.samples, tol=args.tol)
     else:
@@ -297,7 +301,7 @@ def _verdict(dim_value: float, lo: float, hi: float) -> str:
 
 
 def _cmd_dimension(args, run: _Run) -> int:
-    cfg = _load_config(args)
+    cfg = _load_config(args, args.depth)
     cloud = attractor_points_fixedpoint(cfg, args.depth)
     est = box_dimension(cloud)
     bracket = critical_exponent_bracket(cfg, depth=min(args.depth, 12),
@@ -321,7 +325,7 @@ def _cmd_dimension(args, run: _Run) -> int:
 
 
 def _cmd_certify_uh(args, run: _Run) -> int:
-    cfg = _load_config(args)
+    cfg = _load_config(args, args.depth)
     cert = certify_uniform_hyperbolicity(cfg, depth=args.depth)
     kind = cert.forward.kind.value if cert.forward.kind else ""
     _write_csv(run.path("certify_uh.csv"),
@@ -342,7 +346,7 @@ def _cmd_certify_uh(args, run: _Run) -> int:
 
 
 def _cmd_certify_sd(args, run: _Run) -> int:
-    cfg = _load_config(args)
+    cfg = _load_config(args, args.depth)
     cert = certify_semidiscrete(cfg, depth=args.depth)
     kind = cert.cone.kind.value if cert.cone and cert.cone.kind else ""
     margin = cert.cone.margin if cert.cone else float("nan")
@@ -364,7 +368,7 @@ def _cmd_certify_sd(args, run: _Run) -> int:
 
 
 def _cmd_diophantine(args, run: _Run) -> int:
-    cfg = _load_config(args)
+    cfg = _load_config(args, args.depth)
     profile = diophantine_profile(cfg, args.depth)
     _write_csv(run.path("diophantine.csv"),
                ("depth", "word_count", "min_dist", "collisions"),
@@ -377,7 +381,7 @@ def _cmd_diophantine(args, run: _Run) -> int:
 
 
 def _cmd_furstenberg(args, run: _Run) -> int:
-    cfg = _load_config(args)
+    cfg = _load_config(args, args.depth)
     if cfg.probs is None:
         uniform = tuple(1.0 / cfg.k for _ in cfg.matrices)
         cfg = dataclasses.replace(cfg, source_rows=None, probs=uniform)
@@ -405,7 +409,7 @@ def _cmd_furstenberg(args, run: _Run) -> int:
 
 
 def _cmd_pivot(args, run: _Run) -> int:
-    cfg = _load_config(args)
+    cfg = _load_config(args, args.depth)
     try:
         pivot = find_pivot(cfg, depth=args.depth)
     except PivotNotFoundError as exc:
@@ -427,7 +431,7 @@ def _cmd_pivot(args, run: _Run) -> int:
 
 
 def _cmd_lower_bound(args, run: _Run) -> int:
-    cfg = _load_config(args)
+    cfg = _load_config(args, args.depth)
     try:
         pivot = find_pivot(cfg, depth=args.depth)
     except PivotNotFoundError as exc:
@@ -489,6 +493,7 @@ def _scan_row(cfg, depth: int, tol: float):
 
 def _cmd_scan_continuity(args, run: _Run) -> int:
     family = parse_family(args.config)
+    _check_depth(family, args.depth)
     rows = []
     dims = []
     prev_dim = None
@@ -536,7 +541,7 @@ def _cmd_scan_continuity(args, run: _Run) -> int:
 
 
 def _cmd_report(args, run: _Run) -> int:
-    cfg = _load_config(args)
+    cfg = _load_config(args, args.depth)
     lines = [f"system of {cfg.k} matrices from {args.config}"]
     for i, m in enumerate(cfg.matrices):
         lines.append(

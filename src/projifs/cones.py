@@ -13,7 +13,6 @@ length in (0, pi); hi may pass pi, the wrap is implicit.
 
 from __future__ import annotations
 
-import dataclasses
 import enum
 import math
 from dataclasses import dataclass
@@ -25,20 +24,14 @@ from .geometry import (
     PI,
     Matrix2,
     MatrixClass,
+    attracting_directions_array,
     ccw_span,
     classify,
-    fixed_points,
     normalize_angle,
     proj_act,
     singular_directions,
 )
-from .semigroup import (
-    ProductTable,
-    SystemConfig,
-    discreteness_profile,
-    enumerate_words,
-    word_product,
-)
+from .semigroup import SystemConfig, discreteness_profile
 
 _HALF_PI = PI / 2.0
 
@@ -47,6 +40,9 @@ _MAX_ARCS = 64
 
 #: Identity-approach threshold that turns evidence into refutation.
 _IDENTITY_TOL = 1e-9
+
+#: Words, shortest first, whose fixed directions seed the multicone search.
+_SEED_WORDS = 640
 
 Arc = tuple[float, float]
 
@@ -237,17 +233,17 @@ def _fatten(arcs: list[Arc], amount: float) -> list[Arc]:
 
 
 def _seed_points(cfg: SystemConfig, seed_depth: int) -> list[float]:
-    pts = []
-    try:
-        for w in enumerate_words(cfg.k, seed_depth, budget=640):
-            fp = fixed_points(word_product(cfg, w))
-            if fp.kind is MatrixClass.HYPERBOLIC:
-                pts.append(fp.attracting)
-            elif fp.kind is MatrixClass.PARABOLIC:
-                pts.append(fp.parabolic)
-    except BudgetExceededError:
-        pass
-    return pts
+    """Attracting and neutral fixed directions of the first _SEED_WORDS words
+    of length at most seed_depth, in table order."""
+    chunks = [np.empty(0)]
+    left = _SEED_WORDS
+    for n in range(1, seed_depth + 1):
+        if left <= 0:
+            break
+        lev = cfg.table.level(n)[:left]
+        chunks.append(attracting_directions_array(lev))
+        left -= len(lev)
+    return np.concatenate(chunks).tolist()
 
 
 def find_invariant_multicone(
@@ -376,8 +372,6 @@ def almost_mult_constant(
     cfg: SystemConfig,
     cone_result: ConeSearchResult,
     max_check_depth: int = 14,
-    *,
-    table: ProductTable | None = None,
 ) -> AlmostMultConstant:
     if not cone_result.found or cone_result.kind is not ConeKind.COMPACT:
         return AlmostMultConstant(
@@ -387,11 +381,7 @@ def almost_mult_constant(
     cone = cone_result.cone
     margin = cone_result.margin
     threshold = 2.0 / margin
-    table = table or ProductTable(
-        dataclasses.replace(
-            cfg, depth_cap=max(cfg.depth_cap, max_check_depth), source_rows=None
-        )
-    )
+    table = cfg.table
     g = margin
     checked = 0
     depth = 0
@@ -439,17 +429,10 @@ def almost_mult_constant(
     )
 
 
-def empirical_almost_mult(
-    cfg: SystemConfig, total_depth: int = 8, *,
-    table: ProductTable | None = None,
-) -> float:
+def empirical_almost_mult(cfg: SystemConfig, total_depth: int = 8) -> float:
     """Observed min of ||A_v A_w|| / (||A_v|| ||A_w||) over all splits of all
     words up to total_depth.  Diagnostic only; never feeds a certificate."""
-    table = table or ProductTable(
-        dataclasses.replace(
-            cfg, depth_cap=max(cfg.depth_cap, total_depth), source_rows=None
-        )
-    )
+    table = cfg.table
     best = 1.0
     for n in range(2, total_depth + 1):
         whole = table.norms(n)
@@ -461,17 +444,10 @@ def empirical_almost_mult(
     return best
 
 
-def verify_almost_mult(
-    cfg: SystemConfig, c: float, total_depth: int = 6, *,
-    table: ProductTable | None = None,
-) -> int:
+def verify_almost_mult(cfg: SystemConfig, c: float, total_depth: int = 6) -> int:
     """Count violations of ||A_v A_w|| >= c ||A_v|| ||A_w|| over every split
     of every word up to total_depth (0 for a sound constant)."""
-    table = table or ProductTable(
-        dataclasses.replace(
-            cfg, depth_cap=max(cfg.depth_cap, total_depth), source_rows=None
-        )
-    )
+    table = cfg.table
     bad = 0
     for n in range(2, total_depth + 1):
         whole = table.norms(n)
@@ -494,13 +470,13 @@ class GrowthEstimate:
     min_norms: tuple[float, ...]
 
 
-def _growth_estimate(cfg: SystemConfig, depth: int, table: ProductTable) -> GrowthEstimate:
+def _growth_estimate(cfg: SystemConfig, depth: int) -> GrowthEstimate:
     ns, mins = [], []
     for n in range(1, depth + 1):
         if cfg.k ** n > 262144:
             break
         ns.append(n)
-        mins.append(table.min_norm(n))
+        mins.append(cfg.table.min_norm(n))
     logs = np.log(mins)
     if len(ns) >= 2:
         slope, _ = np.polyfit(ns, logs, 1)
@@ -545,24 +521,14 @@ def certify_uniform_hyperbolicity(
     """
     notes = []
     forward = find_invariant_multicone(cfg, eps=eps)
-    inv_cfg = dataclasses.replace(
-        cfg,
-        matrices=tuple(m.inverse() for m in cfg.matrices),
-        source_rows=None,
-    )
-    backward = find_invariant_multicone(inv_cfg, eps=eps)
+    backward = find_invariant_multicone(cfg.inverse(), eps=eps)
     relation = None
     gap = math.nan
     if forward.found and backward.found:
         gap = multicone_gap(forward.cone, backward.cone)
         relation = "disjoint" if gap > 0.0 else "intersecting"
-    table = ProductTable(
-        dataclasses.replace(
-            cfg, depth_cap=max(cfg.depth_cap, depth), source_rows=None
-        )
-    )
-    growth = _growth_estimate(cfg, depth, table)
-    empirical = empirical_almost_mult(cfg, min(depth, 8), table=table)
+    growth = _growth_estimate(cfg, depth)
+    empirical = empirical_almost_mult(cfg, min(depth, 8))
     certified = (
         forward.found
         and forward.kind is ConeKind.COMPACT
@@ -572,7 +538,7 @@ def certify_uniform_hyperbolicity(
     )
     am = None
     if certified:
-        am = almost_mult_constant(cfg, forward, table=table)
+        am = almost_mult_constant(cfg, forward)
         if not am.valid:
             notes.extend(am.notes)
     else:
@@ -642,12 +608,7 @@ def certify_semidiscrete(
     scan_depth = depth
     while cfg.k ** scan_depth > 4096 and scan_depth > 2:
         scan_depth -= 1
-    prof = discreteness_profile(
-        dataclasses.replace(
-            cfg, depth_cap=max(cfg.depth_cap, scan_depth), source_rows=None
-        ),
-        scan_depth,
-    )
+    prof = discreteness_profile(cfg, scan_depth)
     to_id = prof.final_min_to_identity
     pairwise = prof.final_min_pairwise
     if to_id < _IDENTITY_TOL:

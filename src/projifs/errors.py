@@ -36,10 +36,6 @@ class BudgetExceededError(ProjIFSError):
         self.depth_reached = depth_reached
 
 
-class BracketingError(ProjIFSError):
-    """A bisection could not bracket its root."""
-
-
 class CertificationError(ProjIFSError):
     """A requested certificate could not be established."""
 

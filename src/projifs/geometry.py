@@ -117,22 +117,6 @@ class Matrix2:
 IDENTITY2 = Matrix2(1.0, 0.0, 0.0, 1.0)
 
 
-@dataclass(frozen=True)
-class ProjPoint:
-    """A point of RP^1, stored as its canonical angle in (0, pi]."""
-
-    theta: float
-
-    def __post_init__(self):
-        t = float(self.theta)
-        if not math.isfinite(t):
-            raise ValueError(f"angle must be finite, got {t}")
-        object.__setattr__(self, "theta", normalize_angle(t))
-
-    def vector(self) -> tuple[float, float]:
-        return (math.cos(self.theta), math.sin(self.theta))
-
-
 def classify(m: Matrix2, tol: float = CLASS_TOL) -> MatrixClass:
     """Projective class from the trace: |tr| < 2 elliptic, = 2 parabolic,
     > 2 hyperbolic, with +-Id singled out first.  Comparisons use `tol`."""
@@ -178,53 +162,6 @@ def proj_deriv(m: Matrix2, theta: float) -> float:
     wx = m.a * ct + m.b * st
     wy = m.c * ct + m.d * st
     return 1.0 / (wx * wx + wy * wy)
-
-
-def psi(theta: float) -> float:
-    """Chart RP^1 -> extended reals: cos/sin, sending pi to inf."""
-    theta = normalize_angle(theta)
-    if theta == PI:
-        return math.inf
-    return math.cos(theta) / math.sin(theta)
-
-
-def psi_inv(x: float) -> float:
-    """Inverse chart; both infinities map to the single point theta = pi."""
-    return normalize_angle(math.atan2(1.0, x))
-
-
-def mobius_act(m: Matrix2, z):
-    """Mobius action (a z + b)/(c z + d) on the extended reals or the upper
-    half-plane.  The point at infinity is represented by math.inf; poles map
-    to it."""
-    if isinstance(z, complex):
-        den = m.c * z + m.d
-        if den == 0:
-            return math.inf
-        return (m.a * z + m.b) / den
-    if math.isinf(z):
-        if m.c == 0.0:
-            return math.inf
-        return m.a / m.c
-    den = m.c * z + m.d
-    if den == 0.0:
-        return math.inf
-    return (m.a * z + m.b) / den
-
-
-def chordal_dist(x, y) -> float:
-    """Distance on the extended real line seen on the Riemann sphere
-    (up to the constant factor 2): d(x, y) = |x-y| / sqrt((1+x^2)(1+y^2)),
-    with d(x, inf) = 1/sqrt(1+x^2)."""
-    xinf = isinstance(x, float) and math.isinf(x)
-    yinf = isinstance(y, float) and math.isinf(y)
-    if xinf and yinf:
-        return 0.0
-    if xinf:
-        return 1.0 / math.sqrt(1.0 + y * y)
-    if yinf:
-        return 1.0 / math.sqrt(1.0 + x * x)
-    return abs(x - y) / math.sqrt((1.0 + x * x) * (1.0 + y * y))
 
 
 def circ_dist(s: float, t: float) -> float:
@@ -330,14 +267,6 @@ def singular_directions(m: Matrix2, tol: float = 1e-9) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 # Vectorized counterparts on (n, 2, 2) arrays.
 
-def as_matrix_array(matrices) -> np.ndarray:
-    """Stack Matrix2 instances (or raw 2x2 rows) into an (n, 2, 2) array."""
-    out = np.empty((len(matrices), 2, 2))
-    for i, m in enumerate(matrices):
-        out[i] = m.array if isinstance(m, Matrix2) else np.asarray(m, dtype=float)
-    return out
-
-
 def renormalize_array(arr: np.ndarray) -> np.ndarray:
     """Rescale every matrix in the stack to determinant one, in place."""
     det = arr[:, 0, 0] * arr[:, 1, 1] - arr[:, 0, 1] * arr[:, 1, 0]
@@ -363,6 +292,36 @@ def normalize_angles_array(t: np.ndarray) -> np.ndarray:
     t = np.mod(t, PI)
     t[t == 0.0] = PI
     return t
+
+
+def attracting_directions_array(arr: np.ndarray) -> np.ndarray:
+    """Attracting fixed directions of the hyperbolic matrices in a det-one
+    stack and neutral ones of the parabolic matrices, in stack order; the
+    vector counterpart of `fixed_points`, classified with the same CLASS_TOL.
+    Elliptic and +-identity matrices contribute nothing."""
+    a = arr[:, 0, 0]
+    b = arr[:, 0, 1]
+    c = arr[:, 1, 0]
+    d = arr[:, 1, 1]
+    tr = a + d
+    eye = np.eye(2)
+    pm_id = (
+        (np.abs(arr - eye).max(axis=(1, 2)) <= CLASS_TOL)
+        | (np.abs(arr + eye).max(axis=(1, 2)) <= CLASS_TOL)
+    )
+    hyp = np.abs(tr) > 2.0 + CLASS_TOL
+    par = (np.abs(np.abs(tr) - 2.0) <= CLASS_TOL) & ~pm_id
+    sel = hyp | par
+    if not sel.any():
+        return np.empty(0)
+    disc = np.sqrt(np.maximum(tr * tr - 4.0, 0.0))
+    lam = 0.5 * (tr + np.sign(tr) * disc)
+    v1x, v1y = b, lam - a
+    v2x, v2y = lam - d, c
+    use1 = v1x * v1x + v1y * v1y >= v2x * v2x + v2y * v2y
+    vx = np.where(use1, v1x, v2x)
+    vy = np.where(use1, v1y, v2y)
+    return normalize_angles_array(np.arctan2(vy[sel], vx[sel]))
 
 
 def proj_act_array(m: Matrix2, thetas: np.ndarray) -> np.ndarray:

@@ -3,15 +3,18 @@
 A system is a finite alphabet of unit-determinant matrices; a word w = w_1...w_n
 indexes the product A_w = A_{w_1} ... A_{w_n}.  Products are built level by
 level as (k^n, 2, 2) arrays in lexicographic word order and renormalized to
-determinant one at every level, with norms cached per depth.
+determinant one at every level, with norms cached per depth.  Each system
+owns one such table, `cfg.table`, and every analysis reads its products
+from it.
 """
 
 from __future__ import annotations
 
-import itertools
+import dataclasses
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 
@@ -23,7 +26,6 @@ from .geometry import (
     Matrix2,
     MatrixClass,
     circ_dist,
-    classify,
     fixed_points,
     op_norms_array,
     proj_act,
@@ -35,7 +37,8 @@ Word = tuple[int, ...]
 #: Pairs closer than this are treated as the same matrix (exact collisions).
 COLLISION_TOL = 1e-10
 
-#: Per-level hard cap on enumerated words, independent of any user budget.
+#: Per-level cap on enumerated words, a memory guard; the command line
+#: bounds the requested depth by the config's depth_cap.
 _HARD_LEVEL_WORDS = 6_000_000
 
 #: Above this many products, pairwise minima switch to a sorted-window scan.
@@ -57,6 +60,7 @@ class SystemConfig:
 
     `probs` is None for the uniform choice; `source_rows` keeps the literal
     config-file tokens for exact round-trips and never takes part in equality.
+    `depth_cap` is the deepest level the command line may be asked for.
     """
 
     matrices: tuple[Matrix2, ...]
@@ -95,26 +99,20 @@ class SystemConfig:
             return self.probs
         return tuple(1.0 / self.k for _ in self.matrices)
 
+    @cached_property
+    def table(self) -> ProductTable:
+        """The system's product table, built on first use and shared by every
+        analysis of this config.  A copy made with dataclasses.replace is a
+        new system and gets a table of its own."""
+        return ProductTable(self)
 
-def enumerate_words(
-    k: int, max_len: int, budget: int | None = None
-) -> Iterator[Word]:
-    """Yield all nonempty words over {0..k-1} up to max_len, shortest first
-    and lexicographic within a length.  A budget bounds the total count and
-    overruns raise with progress attached."""
-    done = 0
-    completed = 0
-    for n in range(1, max_len + 1):
-        for w in itertools.product(range(k), repeat=n):
-            if budget is not None and done >= budget:
-                raise BudgetExceededError(
-                    f"word budget {budget} exhausted",
-                    words_done=done,
-                    depth_reached=completed,
-                )
-            yield w
-            done += 1
-        completed = n
+    def inverse(self) -> SystemConfig:
+        """The system of inverted letters, whose attractor is the repeller."""
+        return dataclasses.replace(
+            self,
+            matrices=tuple(m.inverse() for m in self.matrices),
+            source_rows=None,
+        )
 
 
 def word_product(cfg: SystemConfig, word: Sequence[int]) -> Matrix2:
@@ -128,59 +126,63 @@ def word_product(cfg: SystemConfig, word: Sequence[int]) -> Matrix2:
 class ProductTable:
     """All level-n products of a system, built lazily and cached.
 
-    level(n) is a (k^n, 2, 2) array in lexicographic word order (the word is
-    recoverable as the base-k digits of the row index), renormalized to
-    determinant one.  norms(n) caches the matching norm vector.  A level is
-    one broadcast product: every letter left-multiplies the whole previous
-    level, and the letter-major result is exactly lexicographic order.
+    level(n) is a (k^n, 2, 2) array in lexicographic word order (word(n, i)
+    is the word of row i), renormalized to determinant one.  norms(n) caches
+    the matching norm vector.  A level is one broadcast product: every letter
+    left-multiplies the whole previous level, and the letter-major result is
+    exactly lexicographic order.  Levels of more than _HARD_LEVEL_WORDS
+    words raise BudgetExceededError.
+
+    The table keeps no reference to its config, so a config and its table
+    are freed together as soon as the config is dropped.
     """
 
-    def __init__(self, cfg: SystemConfig, word_budget: int | None = None):
-        self.cfg = cfg
-        self.word_budget = word_budget
+    def __init__(self, cfg: SystemConfig):
+        self.k = cfg.k
+        self.norm = cfg.norm
         self._base = np.stack([m.array for m in cfg.matrices])
         self._levels: dict[int, np.ndarray] = {}
         self._norms: dict[int, np.ndarray] = {}
         self._words_built = 0
-
-    def _check_budget(self, n: int):
-        count = self.cfg.k ** n
-        if n > self.cfg.depth_cap:
-            raise BudgetExceededError(
-                f"depth {n} exceeds cap {self.cfg.depth_cap}",
-                words_done=self._words_built,
-                depth_reached=max(self._levels, default=0),
-            )
-        if count > _HARD_LEVEL_WORDS or (
-            self.word_budget is not None
-            and self._words_built + count > self.word_budget
-        ):
-            raise BudgetExceededError(
-                f"level {n} needs {count} words",
-                words_done=self._words_built,
-                depth_reached=max(self._levels, default=0),
-            )
 
     def level(self, n: int) -> np.ndarray:
         if n < 1:
             raise ValueError("levels start at 1")
         if n in self._levels:
             return self._levels[n]
-        self._check_budget(n)
+        if self.k ** n > _HARD_LEVEL_WORDS:
+            raise BudgetExceededError(
+                f"level {n} needs {self.k ** n} words",
+                words_done=self._words_built,
+                depth_reached=max(self._levels, default=0),
+            )
         if n == 1:
             lev = self._base.copy()
         else:
             prev = self.level(n - 1)
             lev = np.matmul(self._base[:, None], prev[None]).reshape(-1, 2, 2)
         renormalize_array(lev)
+        # every analysis of the system shares this array
+        lev.flags.writeable = False
         self._levels[n] = lev
         self._words_built += len(lev)
         return lev
 
     def norms(self, n: int) -> np.ndarray:
         if n not in self._norms:
-            self._norms[n] = op_norms_array(self.level(n), self.cfg.norm)
+            norms = op_norms_array(self.level(n), self.norm)
+            norms.flags.writeable = False
+            self._norms[n] = norms
         return self._norms[n]
+
+    def word(self, n: int, idx: int) -> Word:
+        """The word of row idx of level n: its base-k digits, most
+        significant first."""
+        digits = []
+        for _ in range(n):
+            digits.append(idx % self.k)
+            idx //= self.k
+        return tuple(reversed(digits))
 
     def min_norm(self, n: int) -> float:
         return float(self.norms(n).min())
@@ -433,13 +435,10 @@ class DiophantineProfile:
         return self.total_collisions == 0
 
 
-def diophantine_profile(
-    cfg: SystemConfig, depth: int, *, table: ProductTable | None = None
-) -> DiophantineProfile:
-    table = table or ProductTable(cfg)
+def diophantine_profile(cfg: SystemConfig, depth: int) -> DiophantineProfile:
     rows = []
     for n in range(1, depth + 1):
-        lev = table.level(n)
+        lev = cfg.table.level(n)
         d, coll = _pairwise_min(lev)
         rows.append(SeparationRow(n, len(lev), d, coll))
     pts = [(r.depth, math.log(r.min_dist)) for r in rows
@@ -491,16 +490,13 @@ class DiscretenessProfile:
         return min(r.min_dist_to_identity for r in self.rows)
 
 
-def discreteness_profile(
-    cfg: SystemConfig, depth: int, *, table: ProductTable | None = None
-) -> DiscretenessProfile:
-    table = table or ProductTable(cfg)
+def discreteness_profile(cfg: SystemConfig, depth: int) -> DiscretenessProfile:
     rows = []
     pool: np.ndarray | None = None
     running = math.inf
     collisions = 0
     for n in range(1, depth + 1):
-        lev = table.level(n)
+        lev = cfg.table.level(n)
         to_id = float(_dists_to_identity(lev).min())
         d_in, c_in = _pairwise_min(lev)
         d_cross, c_cross = (

@@ -14,7 +14,6 @@ delta > s, "upper(s) < 0" proves delta < s, monotonicity nowhere assumed.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -22,7 +21,6 @@ import numpy as np
 
 from .geometry import OP2
 from .semigroup import (
-    ProductTable,
     SystemConfig,
     Word,
     common_fixed_points,
@@ -45,17 +43,14 @@ class ZetaValues:
     cumulative: float
 
 
-def partial_zeta(
-    cfg: SystemConfig, s: float, depth: int, *, table: ProductTable | None = None
-) -> ZetaValues:
+def partial_zeta(cfg: SystemConfig, s: float, depth: int) -> ZetaValues:
     """Z_1(s) .. Z_depth(s) and their sum, each level summed with fsum so the
     result does not depend on summation order or platform."""
     if s < 0.0:
         raise ValueError("s must be nonnegative")
-    table = table or ProductTable(cfg)
     per = []
     for n in range(1, depth + 1):
-        terms = table.norms(n) ** (-2.0 * s)
+        terms = cfg.table.norms(n) ** (-2.0 * s)
         per.append(math.fsum(terms))
     return ZetaValues(s=s, per_depth=tuple(per), cumulative=math.fsum(per))
 
@@ -82,11 +77,9 @@ def _check_c(c_const: float | None):
 class _PressureProbe:
     """Caches per-level log-norms so repeated probes at new s are cheap."""
 
-    def __init__(self, cfg: SystemConfig, depth: int, table: ProductTable | None):
-        self.cfg = cfg
+    def __init__(self, cfg: SystemConfig, depth: int):
         self.depth = depth
-        self.table = table or ProductTable(cfg)
-        self.log_norms = [np.log(self.table.norms(n)) for n in range(1, depth + 1)]
+        self.log_norms = [np.log(cfg.table.norms(n)) for n in range(1, depth + 1)]
         # max-entry norm is submultiplicative only up to a factor 2, which
         # costs 2s log2 per split in the lower bound
         self.split_penalty = _LOG2 if cfg.norm != OP2 else 0.0
@@ -112,14 +105,12 @@ def pressure_bracket(
     s: float,
     depth: int,
     c_const: float | None = None,
-    *,
-    table: ProductTable | None = None,
 ) -> PressureEval:
     """Rigorous pressure bounds at one s from depths 1..depth."""
     if s < 0.0:
         raise ValueError("s must be nonnegative")
     _check_c(c_const)
-    probe = _PressureProbe(cfg, depth, table)
+    probe = _PressureProbe(cfg, depth)
     upper = math.inf if c_const is None else probe.upper(s, c_const)
     return PressureEval(
         s=s, lower=probe.lower(s), upper=upper, depth_used=depth, c_const=c_const
@@ -159,13 +150,13 @@ def _bisect_edge(pred, lo: float, hi: float, tol: float) -> tuple[float, float]:
     return lo, hi
 
 
-def _collision_note(cfg: SystemConfig, depth: int, table: ProductTable) -> str | None:
+def _collision_note(cfg: SystemConfig, depth: int) -> str | None:
     check_depth = 1
     while cfg.k ** (check_depth + 1) <= 2048 and check_depth < min(depth, 11):
         check_depth += 1
     # same count as the all-pairs scan; see _collision_count for the sweep
     for n in range(2, check_depth + 1):
-        if _collision_count(table.level(n)):
+        if _collision_count(cfg.table.level(n)):
             return (
                 "system is not free: distinct words repeat a matrix from "
                 f"depth {n}; zeta weights count words, not matrices"
@@ -179,8 +170,6 @@ def critical_exponent_bracket(
     c_const: float | None = None,
     tol: float = 1e-4,
     s_max: float = 5.0,
-    *,
-    table: ProductTable | None = None,
 ) -> Bracket:
     """Bracket the critical exponent by bisecting on pressure certificates.
 
@@ -194,9 +183,9 @@ def critical_exponent_bracket(
     if tol <= 0.0:
         raise ValueError("tol must be positive")
     _check_c(c_const)
-    probe = _PressureProbe(cfg, depth, table)
+    probe = _PressureProbe(cfg, depth)
     notes = []
-    coll = _collision_note(cfg, depth, probe.table)
+    coll = _collision_note(cfg, depth)
     if coll:
         notes.append(coll)
     if cfg.norm != OP2:
@@ -277,12 +266,12 @@ class QuickBound:
     word: Word | None = None
 
 
-def _parabolic_word(cfg: SystemConfig, table: ProductTable, scan_depth: int):
+def _parabolic_word(cfg: SystemConfig, scan_depth: int):
     """Shortest word whose product is parabolic but not +-identity."""
     for n in range(1, scan_depth + 1):
         if cfg.k ** n > 65536:
             break
-        lev = table.level(n)
+        lev = cfg.table.level(n)
         tr = lev[:, 0, 0] + lev[:, 1, 1]
         near = np.abs(np.abs(tr) - 2.0) <= _PARABOLIC_TOL
         if not near.any():
@@ -293,12 +282,7 @@ def _parabolic_word(cfg: SystemConfig, table: ProductTable, scan_depth: int):
         mask = near & (dev_p > _PARABOLIC_TOL) & (dev_m > _PARABOLIC_TOL)
         idx = np.flatnonzero(mask)
         if idx.size:
-            i = int(idx[0])
-            word = []
-            for _ in range(n):
-                word.append(i % cfg.k)
-                i //= cfg.k
-            return tuple(reversed(word))
+            return cfg.table.word(n, int(idx[0]))
     return None
 
 
@@ -315,10 +299,7 @@ def _accumulation_evidence(cfg: SystemConfig) -> bool:
         while pool + cfg.k ** (depth + 1) <= 1024:
             depth += 1
             pool += cfg.k ** depth
-    scan_cfg = dataclasses.replace(
-        cfg, depth_cap=max(cfg.depth_cap, depth), source_rows=None
-    )
-    prof = discreteness_profile(scan_cfg, depth)
+    prof = discreteness_profile(cfg, depth)
     final = prof.final_min_pairwise
     first = prof.rows[min(1, len(prof.rows) - 1)].min_pairwise
     return final < _ACCUMULATION_TOL and (
@@ -337,12 +318,7 @@ def quick_lower_bounds(
     products is evidence, not proof, of delta = infinity.
     """
     bounds: list[QuickBound] = []
-    table = ProductTable(
-        dataclasses.replace(
-            cfg, depth_cap=max(cfg.depth_cap, scan_depth), source_rows=None
-        )
-    )
-    w = _parabolic_word(cfg, table, scan_depth)
+    w = _parabolic_word(cfg, scan_depth)
     if w is not None:
         bounds.append(QuickBound(0.5, "parabolic-product", True, w))
     if common_fixed_points(cfg):

@@ -19,7 +19,6 @@ repeller; the clouds only steer where U and V are placed.
 
 from __future__ import annotations
 
-import dataclasses
 import enum
 import itertools
 import math
@@ -30,6 +29,7 @@ import numpy as np
 
 from .attractor import attractor_points_fixedpoint, repeller_points_fixedpoint
 from .cones import (
+    Arc,
     ConeKind,
     ConeSearchResult,
     Multicone,
@@ -50,18 +50,11 @@ from .geometry import (
     PI,
     Matrix2,
     MatrixClass,
-    ccw_span,
     classify,
     fixed_points,
     normalize_angle,
 )
-from .semigroup import (
-    ProductTable,
-    SystemConfig,
-    Word,
-    common_fixed_points,
-    word_product,
-)
+from .semigroup import SystemConfig, Word, common_fixed_points, word_product
 from .spectral import Bracket, critical_exponent_bracket
 
 #: Chart slopes within this of one count as parabolic.
@@ -306,9 +299,6 @@ def _amr_verdict(x: float, w_att: Word, w_rep: Word) -> ReducibleVerdict:
 # ---------------------------------------------------------------------------
 # Pivot construction for irreducible systems.
 
-Arc = tuple[float, float]
-
-
 @dataclass(frozen=True)
 class Pivot:
     """A word A0 and intervals U' within U, away from V, with A0 mapping the
@@ -384,8 +374,6 @@ def find_pivot(
     cfg: SystemConfig,
     depth: int = 4,
     power_cap: int = 8,
-    *,
-    table: ProductTable | None = None,
 ) -> Pivot:
     """Search for a pivot word among products of length <= depth.
 
@@ -425,11 +413,7 @@ def find_pivot(
             "candidate intervals U and V overlap; the clouds interleave at "
             "this depth (inconclusive)"
         )
-    table = table or ProductTable(
-        dataclasses.replace(
-            cfg, depth_cap=max(cfg.depth_cap, depth), source_rows=None
-        )
-    )
+    table = cfg.table
     comp_v = _complement_arc(V)
     cone_u = Multicone([U])
     cone_v = Multicone([V])
@@ -441,7 +425,7 @@ def find_pivot(
     candidates.sort()
     for _, n, idx in candidates:
         base = Matrix2(*table.level(n)[idx].ravel())
-        word = _word_at(cfg.k, n, idx)
+        word = table.word(n, idx)
         m = IDENTITY2
         for j in range(1, power_cap + 1):
             m = m @ base
@@ -476,14 +460,6 @@ def find_pivot(
         "complement of V into U with clearance; either the system is not "
         "semidiscrete-irreducible or the search depth is too small"
     )
-
-
-def _word_at(k: int, n: int, idx: int) -> Word:
-    out = []
-    for _ in range(n):
-        out.append(idx % k)
-        idx //= k
-    return tuple(reversed(out))
 
 
 # ---------------------------------------------------------------------------
@@ -552,11 +528,8 @@ def gamma_lower_bound(
         raise CertificationError(
             f"no word of length {n} passed the pivot containment check"
         )
-    gamma_cfg = SystemConfig(
-        matrices=tuple(letters), norm=OP2, depth_cap=22, seed=cfg.seed
-    )
-    gamma_table = ProductTable(gamma_cfg)
-    top = float(gamma_table.norms(1).max())
+    gamma_cfg = SystemConfig(matrices=tuple(letters), norm=OP2, seed=cfg.seed)
+    top = float(gamma_cfg.table.norms(1).max())
     norm_cap = max(
         1, int(math.log(_SAFE_PRODUCT_NORM) / math.log(max(top, 2.0)))
     )
@@ -574,13 +547,9 @@ def gamma_lower_bound(
         iterations=0,
         notes=("cone containment certified letter by letter via the pivot",),
     )
-    am = almost_mult_constant(
-        gamma_cfg, synthetic, max_check_depth=min(depth, 6), table=gamma_table
-    )
+    am = almost_mult_constant(gamma_cfg, synthetic, max_check_depth=min(depth, 6))
     c_const = am.c if am.valid else None
-    bracket = critical_exponent_bracket(
-        gamma_cfg, depth=depth, c_const=c_const, table=gamma_table
-    )
+    bracket = critical_exponent_bracket(gamma_cfg, depth=depth, c_const=c_const)
     value = min(1.0, max(0.0, bracket.lo))
     notes = [
         f"alphabet of {len(letters)} words at block length {n}, "
@@ -609,25 +578,6 @@ def gamma_lower_bound(
         certified=True,
         notes=tuple(notes),
     )
-
-
-def a_infty_truncation(
-    cfg: SystemConfig, a0_letter: int, max_len: int
-) -> tuple[tuple[Word, Matrix2], ...]:
-    """Words A0 B with B over the other letters and total length <= max_len,
-    plus A0 itself; the truncations are nested in max_len, so their pressure
-    roots increase toward the full induced alphabet's."""
-    if not 0 <= a0_letter < cfg.k:
-        raise ValueError(f"a0_letter {a0_letter} outside the alphabet")
-    if max_len < 1:
-        raise ValueError("max_len must be positive")
-    others = [i for i in range(cfg.k) if i != a0_letter]
-    out = [((a0_letter,), cfg.matrices[a0_letter])]
-    for tail in range(1, max_len):
-        for b in itertools.product(others, repeat=tail):
-            w = (a0_letter, *b)
-            out.append((w, word_product(cfg, w)))
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

@@ -4,11 +4,13 @@ import csv
 import filecmp
 import json
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from projifs import semigroup
 from projifs.cli import rerun_manifest, run_command
 from projifs.config import parse_config
 from projifs.svgplot import attractor_svg, line_plot_svg
@@ -206,6 +208,43 @@ class TestCsvContracts:
         assert (tmp_path / "report.csv").exists()
 
 
+    @pytest.mark.parametrize("name", ["positive_pair.cfg", "stern_brocot.cfg"])
+    def test_pivot_cells_are_plain_numbers(self, tmp_path, name):
+        assert run_command(
+            ["pivot", "--config", cfg_path(name), "--out", str(tmp_path)]
+        ) == 0
+        row = read_rows(tmp_path / "pivot.csv")[0]
+        for key, value in row.items():
+            if key != "word":
+                assert math.isfinite(float(value)), (key, value)
+
+    def test_report_builds_one_table_per_system(self, tmp_path, monkeypatch):
+        built = []
+        init = semigroup.ProductTable.__init__
+
+        def counting_init(table, cfg):
+            built.append(cfg)
+            init(table, cfg)
+
+        monkeypatch.setattr(semigroup.ProductTable, "__init__", counting_init)
+        products = []
+        scalar = semigroup.word_product
+        for name, module in list(sys.modules.items()):
+            if name.startswith("projifs") and \
+                    getattr(module, "word_product", None) is scalar:
+                monkeypatch.setattr(
+                    module, "word_product",
+                    lambda cfg, w: products.append(w) or scalar(cfg, w),
+                )
+        assert run_command(
+            ["report", "--config", cfg_path("positive_pair.cfg"),
+             "--out", str(tmp_path)]
+        ) == 0
+        assert len(built) == 2
+        assert built[1] == built[0].inverse()
+        assert products == []
+
+
 class TestScanContinuity:
     FAMILY = """\
 family:
@@ -284,6 +323,20 @@ class TestManifest:
         assert code == 1
         rows = read_rows(out / "words.csv")
         assert len(rows) == 2 + 4 + 8  # levels behind the cap survive
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["partial"] is True
+
+
+    @pytest.mark.parametrize("command", ["critexp", "attractor"])
+    def test_depth_beyond_cap_flags_partial(self, tmp_path, capsys, command):
+        cfg = tmp_path / "capped.cfg"
+        cfg.write_text("matrices:\n  1 1 0 1\n  1 0 1 1\ndepth_cap: 3\n")
+        assert run_command([command, "--config", str(cfg), "--depth", "3",
+                            "--out", str(tmp_path / "within")]) == 0
+        out = tmp_path / "out"
+        assert run_command([command, "--config", str(cfg), "--depth", "6",
+                            "--out", str(out)]) == 1
+        assert "depth 6 exceeds cap 3" in capsys.readouterr().err
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["partial"] is True
 

@@ -1,8 +1,12 @@
+import itertools
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+from projifs import cones
+from projifs.config import parse_config
 from projifs.cones import (
     AlmostMultConstant,
     ConeKind,
@@ -19,8 +23,8 @@ from projifs.cones import (
     multicone_gap,
     verify_almost_mult,
 )
-from projifs.geometry import PI, Matrix2, proj_act
-from projifs.semigroup import SystemConfig
+from projifs.geometry import PI, Matrix2, MatrixClass, fixed_points, proj_act
+from projifs.semigroup import SystemConfig, word_product
 
 from conftest import sl2_from_params
 
@@ -44,6 +48,8 @@ GRAZING_PAIR = SystemConfig(
 )
 
 ROTATION = SystemConfig(matrices=(sl2_from_params(1.0, 0.0, 0.0),))
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 class TestArcAlgebra:
@@ -259,3 +265,44 @@ class TestSemidiscreteness:
         cert = certify_semidiscrete(ROTATION)
         assert cert.status is SDStatus.EVIDENCE_ONLY
         assert not cert.decided
+
+
+def _scalar_seeds(cfg, seed_depth, budget=640):
+    """Seeds from one scalar product per word: the first `budget` words,
+    shortest first."""
+    words = itertools.islice(
+        (w for n in range(1, seed_depth + 1)
+         for w in itertools.product(range(cfg.k), repeat=n)),
+        budget,
+    )
+    seeds = []
+    for w in words:
+        fp = fixed_points(word_product(cfg, w))
+        if fp.kind is MatrixClass.HYPERBOLIC:
+            seeds.append(fp.attracting)
+        elif fp.kind is MatrixClass.PARABOLIC:
+            seeds.append(fp.parabolic)
+    return seeds
+
+
+def _bundled_systems():
+    out = []
+    for path in sorted(CONFIGS.glob("*.cfg")):
+        if path.stem.startswith("family_"):
+            continue
+        cfg = parse_config(path)
+        out.append(pytest.param(cfg, id=path.stem))
+        out.append(pytest.param(cfg.inverse(), id=f"{path.stem}-inverse"))
+    return out
+
+
+@pytest.mark.parametrize("cfg", _bundled_systems())
+def test_table_seeds_match_scalar_products(cfg, monkeypatch):
+    seeds = cones._seed_points(cfg, 8)
+    assert all(type(t) is float for t in seeds)
+    assert sorted(seeds) == pytest.approx(
+        sorted(_scalar_seeds(cfg, 8)), rel=0.0, abs=1e-12
+    )
+    kind = find_invariant_multicone(cfg).kind
+    monkeypatch.setattr(cones, "_seed_points", _scalar_seeds)
+    assert find_invariant_multicone(cfg).kind is kind

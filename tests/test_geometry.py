@@ -12,20 +12,15 @@ from projifs.geometry import (
     FixedPointData,
     Matrix2,
     MatrixClass,
-    ProjPoint,
-    chordal_dist,
     circ_dist,
     classify,
     fixed_points,
-    mobius_act,
     normalize_angle,
     op_norm,
     op_norms_array,
     proj_act,
     proj_act_array,
     proj_deriv,
-    psi,
-    psi_inv,
     renormalize_array,
     singular_directions,
 )
@@ -79,9 +74,6 @@ class TestAngles:
 
     def test_normalize_negative(self):
         assert normalize_angle(-PI / 4) == pytest.approx(3 * PI / 4)
-
-    def test_projpoint_wraps(self):
-        assert ProjPoint(3 * PI / 2).theta == pytest.approx(PI / 2)
 
     def test_circ_dist_wraps(self):
         assert circ_dist(0.05, PI - 0.05) == pytest.approx(0.1)
@@ -160,55 +152,6 @@ class TestProjectiveAction:
         vec = proj_act_array(m, thetas)
         for t, v in zip(thetas, vec):
             assert v == pytest.approx(proj_act(m, t))
-
-
-class TestChart:
-    def test_psi_values(self):
-        assert psi(PI / 2) == pytest.approx(0.0)
-        assert psi(PI / 4) == pytest.approx(1.0)
-        assert psi(PI) == math.inf
-
-    def test_psi_inv_of_infinities(self):
-        assert psi_inv(math.inf) == PI
-        assert psi_inv(-math.inf) == PI
-        assert psi_inv(0.0) == pytest.approx(PI / 2)
-
-    def test_roundtrip(self):
-        for t in np.linspace(0.01, PI, 37):
-            assert circ_dist(psi_inv(psi(t)), t) < 1e-9
-
-    def test_mobius_rotation_swaps_zero_and_infinity(self):
-        assert mobius_act(ROT90, math.inf) == 0.0
-        assert mobius_act(ROT90, 0.0) == math.inf
-
-    def test_chart_conjugates_action(self):
-        # psi(phi_M(t)) = (a psi(t) + b) / (c psi(t) + d), measured chordally
-        # so the pole at theta = pi is unremarkable
-        rng = np.random.default_rng(12)
-        for _ in range(1000):
-            m = random_sl2(rng)
-            t = rng.uniform(1e-3, PI)
-            lhs = psi(proj_act(m, t))
-            rhs = mobius_act(m, psi(t))
-            assert chordal_dist(lhs, rhs) < 1e-7
-
-    def test_upper_half_plane_stays_upper(self):
-        rng = np.random.default_rng(13)
-        for _ in range(200):
-            m = random_sl2(rng)
-            z = mobius_act(m, complex(rng.uniform(-5, 5), rng.uniform(0.1, 5)))
-            assert z.imag > 0.0
-
-
-class TestChordal:
-    def test_symmetry_and_infinity(self):
-        assert chordal_dist(0.0, math.inf) == pytest.approx(1.0)
-        assert chordal_dist(1.0, math.inf) == pytest.approx(1.0 / math.sqrt(2.0))
-        assert chordal_dist(math.inf, math.inf) == 0.0
-        assert chordal_dist(3.0, -2.0) == chordal_dist(-2.0, 3.0)
-
-    def test_large_values_close_to_infinity(self):
-        assert chordal_dist(1e12, math.inf) < 1e-11
 
 
 class TestDerivative:

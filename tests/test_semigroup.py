@@ -1,4 +1,8 @@
+import dataclasses
+import gc
+import itertools
 import math
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -6,7 +10,6 @@ import pytest
 
 from conftest import random_sl2
 from projifs.config import parse_config, parse_family
-from projifs.errors import BudgetExceededError
 from projifs.geometry import IDENTITY2, Matrix2, op_norm
 from projifs.semigroup import (
     ProductTable,
@@ -14,7 +17,6 @@ from projifs.semigroup import (
     common_fixed_points,
     diophantine_profile,
     discreteness_profile,
-    enumerate_words,
     left_invariant_dist,
     word_product,
 )
@@ -55,21 +57,6 @@ class TestConfig:
             SystemConfig(matrices=())
 
 
-class TestEnumerateWords:
-    def test_order(self):
-        ws = list(enumerate_words(2, 2))
-        assert ws == [(0,), (1,), (0, 0), (0, 1), (1, 0), (1, 1)]
-
-    def test_budget_raises_with_progress(self):
-        it = enumerate_words(2, 3, budget=3)
-        got = [next(it) for _ in range(3)]
-        assert got == [(0,), (1,), (0, 0)]
-        with pytest.raises(BudgetExceededError) as ei:
-            next(it)
-        assert ei.value.words_done == 3
-        assert ei.value.depth_reached == 1
-
-
 class TestProductTable:
     def test_level_matches_word_products(self):
         table = ProductTable(PAIR)
@@ -85,20 +72,34 @@ class TestProductTable:
             w = ((idx >> 2) & 1, (idx >> 1) & 1, idx & 1)
             assert ns[idx] == pytest.approx(op_norm(word_product(PAIR, w)), rel=1e-12)
 
-    def test_depth_cap(self):
-        cfg = SystemConfig(matrices=(DIAG2, SHEAR), depth_cap=3)
-        table = ProductTable(cfg)
-        table.level(3)
-        with pytest.raises(BudgetExceededError):
-            table.level(4)
+    def test_word_inverts_row_order(self):
+        cfg = SystemConfig(matrices=(DIAG2, SHEAR, HALF_DIAG))
+        for n in (1, 2, 3):
+            words = [cfg.table.word(n, i) for i in range(cfg.k ** n)]
+            assert words == list(itertools.product(range(3), repeat=n))
 
-    def test_word_budget(self):
-        table = ProductTable(PAIR, word_budget=5)
-        table.level(1)
-        with pytest.raises(BudgetExceededError) as ei:
-            table.level(2)
-        assert ei.value.words_done == 2
-        assert ei.value.depth_reached == 1
+    def test_config_owns_one_table(self):
+        cfg = SystemConfig(matrices=(DIAG2, SHEAR))
+        assert cfg.table is cfg.table
+        # shared arrays: no analysis may write into another's products
+        assert not cfg.table.level(2).flags.writeable
+        assert not cfg.table.norms(2).flags.writeable
+        assert dataclasses.replace(cfg, seed=3).table is not cfg.table
+        inv = cfg.inverse()
+        assert inv.table is not cfg.table
+        assert np.allclose(inv.table.level(1)[0], DIAG2.inverse().array)
+
+    def test_table_freed_with_its_config(self):
+        # no config <-> table cycle: refcounting alone frees both
+        cfg = SystemConfig(matrices=(DIAG2, SHEAR))
+        cfg.table.level(4)
+        ref = weakref.ref(cfg.table)
+        gc.disable()
+        try:
+            del cfg
+            assert ref() is None
+        finally:
+            gc.enable()
 
     def test_determinants_stay_one(self):
         table = ProductTable(PAIR)
@@ -332,7 +333,7 @@ def _collision_systems():
 
 @pytest.mark.parametrize("cfg,rows", _collision_systems())
 def test_collision_count_and_note_match_all_pairs_scan(cfg, rows, monkeypatch):
-    table = ProductTable(cfg)
+    table = cfg.table
     exact = {}
     depth = 1
     while cfg.k ** depth <= rows and depth <= 11:
@@ -340,9 +341,9 @@ def test_collision_count_and_note_match_all_pairs_scan(cfg, rows, monkeypatch):
         exact[id(lev)] = semigroup._pairwise_min(lev)[1]
         assert semigroup._collision_count(lev) == exact[id(lev)], depth
         depth += 1
-    notes = critical_exponent_bracket(cfg, depth - 1, table=table).notes
+    notes = critical_exponent_bracket(cfg, depth - 1).notes
     monkeypatch.setattr(spectral, "_collision_count", lambda lev: exact[id(lev)])
-    assert critical_exponent_bracket(cfg, depth - 1, table=table).notes == notes
+    assert critical_exponent_bracket(cfg, depth - 1).notes == notes
 
 
 class TestDiophantineProfile:

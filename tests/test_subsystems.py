@@ -24,7 +24,6 @@ from projifs.subsystems import (
     GammaLowerBound,
     Pivot,
     ReducibleCase,
-    a_infty_truncation,
     elliptic_reduction,
     find_pivot,
     gamma_lower_bound,
@@ -205,43 +204,6 @@ class TestGammaLowerBound:
         g = gamma_lower_bound(POSITIVE_PAIR, pivot, 2, depth=4)
         assert g.dropped_words >= 0
         assert len(g.matrices) + g.dropped_words <= POSITIVE_PAIR.k ** 2
-
-
-class TestAInftyTruncation:
-    def test_word_bookkeeping(self):
-        words = [w for w, _ in a_infty_truncation(STERN_BROCOT, 0, 3)]
-        assert words == [(0,), (0, 1), (0, 1, 1)]
-
-    def test_single_word(self):
-        out = a_infty_truncation(STERN_BROCOT, 0, 1)
-        assert [w for w, _ in out] == [(0,)]
-        assert out[0][1] is STERN_BROCOT.matrices[0]
-
-    def test_products_match_words(self):
-        for w, m in a_infty_truncation(POSITIVE_PAIR, 1, 3):
-            prod = IDENTITY2
-            for i in w:
-                prod = prod @ POSITIVE_PAIR.matrices[i]
-            assert max(
-                abs(x - y) for x, y in zip(m.entries, prod.entries)
-            ) < 1e-12
-
-    def test_bad_arguments(self):
-        with pytest.raises(ValueError):
-            a_infty_truncation(STERN_BROCOT, 2, 3)
-        with pytest.raises(ValueError):
-            a_infty_truncation(STERN_BROCOT, 0, 0)
-
-    def test_pressure_roots_monotone(self):
-        from projifs.spectral import critical_exponent_bracket
-
-        los = []
-        for n in range(2, 7):
-            mats = tuple(m for _, m in a_infty_truncation(STERN_BROCOT, 0, n))
-            cfg = SystemConfig(matrices=mats)
-            los.append(critical_exponent_bracket(cfg, 4, tol=1e-7).lo)
-        for a, b in zip(los, los[1:]):
-            assert b >= a - 1e-6
 
 
 class TestEllipticReduction:
