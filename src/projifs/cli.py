@@ -377,6 +377,10 @@ def _cmd_diophantine(args, run: _Run) -> int:
     c = profile.fitted_c
     print(f"free so far: {profile.free_so_far}; fitted separation base "
           f"c = {c if c is None else format(c, '.4f')}")
+    if profile.windowed_from is not None:
+        print(f"note: from depth {profile.windowed_from} on, levels are "
+              "scanned by a sorted window: min_dist is an upper bound and "
+              "collisions a lower bound")
     return 0
 
 

@@ -261,7 +261,25 @@ def find_invariant_multicone(
     The final margin classifies the outcome: at least eps inside is a
     compact certificate, within eps either way is a strict-only certificate
     (invariance verified at tolerance eps), anything worse is a failure.
+
+    The result is kept in cfg.memo per argument tuple, so the analyses of
+    one system share one search, freed together with the config.
     """
+    key = ("multicone", seed_depth, eps, max_iters, merge_tol, stall_tol)
+    if key not in cfg.memo:
+        cfg.memo[key] = _search_multicone(cfg, *key[1:])
+    return cfg.memo[key]
+
+
+def _search_multicone(
+    cfg: SystemConfig,
+    seed_depth: int,
+    eps: float,
+    max_iters: int,
+    merge_tol: float,
+    stall_tol: float,
+) -> ConeSearchResult:
+    """The search behind find_invariant_multicone."""
     notes = []
     for m in cfg.matrices:
         if classify(m) is MatrixClass.ELLIPTIC:

@@ -50,8 +50,10 @@ _WINDOW = 64
 _SWEEP_DIRECTION = np.array([0.5377, 0.4412, -0.2118, 0.6893])
 _SWEEP_DIRECTION /= np.linalg.norm(_SWEEP_DIRECTION)
 
-#: Candidate pairs the collision sweep builds and evaluates at once.
+#: Pairs the collision sweep and the pairwise scan build and evaluate at once.
 _SWEEP_CHUNK = 1 << 15
+
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -105,6 +107,12 @@ class SystemConfig:
         analysis of this config.  A copy made with dataclasses.replace is a
         new system and gets a table of its own."""
         return ProductTable(self)
+
+    @cached_property
+    def memo(self) -> dict:
+        """Results of costlier per-system searches, keyed by the search and
+        its arguments; like the table, freed together with the config."""
+        return {}
 
     def inverse(self) -> SystemConfig:
         """The system of inverted letters, whose attractor is the repeller."""
@@ -271,68 +279,196 @@ def _pairwise_min(
     """Minimum left-invariant distance between distinct matrices, and the
     number of exact collisions (distance < COLLISION_TOL) excluded from it.
 
-    One array: pairs within it.  Two arrays: pairs across.  Beyond
-    _EXACT_PAIR_LIMIT the scan is a sorted sliding window, so the reported
+    One array: pairs i < j within it, each the log-norm of adj(A_i) @ A_j.
+    Two arrays: every pair across, as adj(arr[i]) @ other[j].  Beyond
+    _EXACT_PAIR_LIMIT rows (its square for pairs across) only neighbours at
+    offsets 1.._WINDOW in lexicographic order are compared, so the reported
     minimum is an upper bound for the true one and the collision count a
     lower bound: a run of more than _WINDOW identical rows has pairs farther
     apart than the window, and those are never compared.
-    """
-    best = math.inf
-    collisions = 0
 
-    def absorb(dists: np.ndarray):
-        nonlocal best, collisions
+    Below that size the result is the one every pair gives, but only pairs
+    that can change it are evaluated.  A pair matters only if its distance
+    is below tau = max(best so far, COLLISION_TOL); tau starts at the best of
+    one seed pair per row, its neighbour in projection order
+    (_SWEEP_DIRECTION).  The half-trace t_f of every other pair comes from
+    one (rows x 4) @ (4 x n) product, and only pairs with t_f in [lo, hi] =
+    _half_trace_window(tau, F^2, eta) are evaluated, so no pair is
+    evaluated twice.  Blocks and batches hold _SWEEP_CHUNK pairs (or one
+    row's, if more).
+
+    No skipped pair is closer than tau.  Let C = adj(A) B exactly, with
+    half-trace t_C and traceless part N_C, and C' = C + E the computed
+    product, with half-trace t, traceless part N and computed log-norm d.
+    With F = max ||A||_F over both arrays, eta = max |det A - 1| + 2 eps F^2
+    (_norm_and_drift), drift = 2 eta + eta^2 >= |det C - 1| and
+    e = 1.01 eps F^2 >= ||E||_F (two-term dot products):
+    - ||N_C||^2 >= 2 |t_C^2 - det C|, as for any 2x2 matrix, and
+      ||N|| >= ||N_C|| - e;
+    - |t - t_C| <= 0.71 e, and the four-term dot product of the filter
+      gives |t_f - t_C| <= e;
+    - for t > 0, d >= (1 - 5e-9) g(t) ||N||, where g(t) = arccosh t /
+      sqrt(t^2 - 1) (arccos t / sqrt(1 - t^2) below 1) is the coefficient
+      of the log-norm.  5e-9 covers coef = 1 on the band |t - 1| <= 1e-8,
+      where g <= 1 + 3.7e-9, and a few roundings; the rounding of t moves
+      both diagonal entries of N alike, orthogonally to N.  For t <= 0,
+      d >= (1 - 5e-9) ||C' - I||_F >= (1 - 5e-9) sqrt 2 (1 - t) > 1.41;
+    - g decreases, t g(t) increases (m coth m, theta cot theta), g(1) = 1.
+    The window takes r = (1.001 tau + 4 e) / sqrt 2, M = sqrt(r^2 +
+    2.5 drift), hi = cosh M + e and lo = cos M - e, or lo = min(1 - r, 0)
+    - 2 e when M >= 1.4 or r >= 1.
+    - t_f > hi: m = arccosh t_C >= M, so s = sqrt(m^2 - drift) >= r;
+      g(t_C) sqrt(2 (t_C^2 - 1 - drift)) >= sqrt 2 s,
+      g(t) >= g(t_C) / (1 + 0.71 e) and g(t_C) e <= m coth m e <=
+      (1 + s + sqrt drift) e, hence d >= (1 - 5e-9) / (1 + 0.71 e)
+      (sqrt 2 s - (1 + s + sqrt drift) e) > tau.
+    - t_f < lo = cos M - e: t_C < cos M (> 0.169).  If t <= 0, d > 1.414
+      > tau (as r < 1).  Otherwise t_C^2 < cos^2 M, t < cos M + 0.71 e, so
+      g(t) >= g(cos M) (1 - 4.2 e), and M / sin M <= 1.42 gives
+      g(cos M) sqrt(2 (sin^2 M - drift)) >= sqrt 2 r, hence
+      d >= (1 - 5e-9) (1 - 4.2 e) (sqrt 2 r - 1.42 e) > tau.
+    - t_f < lo = min(1 - r, 0) - 2 e: t < lo + 1.71 e <= 0 and 1 - t > r,
+      so d >= (1 - 5e-9) sqrt 2 (r + 0.29 e) > tau.
+    The last steps need e < 1e-4 and drift < 0.25; otherwise (norms near
+    1e5, or a stack far from determinant one) every pair is evaluated.
+    """
+    if other is None:
+        if len(arr) < 2:
+            return math.inf, 0
+        if len(arr) > _EXACT_PAIR_LIMIT:
+            return _window_scan(arr, None)
+    else:
+        if len(arr) == 0 or len(other) == 0:
+            return math.inf, 0
+        if len(arr) * len(other) > _EXACT_PAIR_LIMIT ** 2:
+            return _window_scan(arr, other)
+    return _filtered_scan(arr, other)
+
+
+def _half_trace_window(tau: float, f2: float, eta: float) -> tuple[float, float]:
+    """Half-traces [lo, hi] outside which no pair is closer than tau, for
+    F^2 and eta of _norm_and_drift, as derived in _pairwise_min."""
+    e = 1.01 * _EPS * f2
+    drift = 2.0 * eta + eta * eta
+    if e >= 1e-4 or drift >= 0.25:
+        return -math.inf, math.inf
+    r = (1.001 * tau + 4.0 * e) / math.sqrt(2.0)
+    m = math.sqrt(r * r + 2.5 * drift)
+    hi = math.cosh(m) + e if m < 700.0 else math.inf
+    if m < 1.4 and r < 1.0:
+        lo = math.cos(m) - e
+    else:
+        lo = min(1.0 - r, 0.0) - 2.0 * e
+    return lo, hi
+
+
+def _evaluate(
+    adj: np.ndarray, left: np.ndarray, right: np.ndarray, right_idx: np.ndarray
+) -> tuple[float, int]:
+    """Log-norms of adj[left[p]] @ right[right_idx[p]], _SWEEP_CHUNK pairs at
+    a time: the smallest one not below COLLISION_TOL, and how many are."""
+    best = math.inf
+    hits = 0
+    step = _SWEEP_CHUNK
+    for lo in range(0, len(left), step):
+        c = np.matmul(adj[left[lo: lo + step]], right[right_idx[lo: lo + step]])
+        dists = _displacement_norms_array(c)
         hit = dists < COLLISION_TOL
-        collisions += int(hit.sum())
+        hits += int(hit.sum())
         live = dists[~hit]
         if live.size:
             best = min(best, float(live.min()))
+    return best, hits
 
-    if other is None:
-        n = len(arr)
-        if n < 2:
-            return math.inf, 0
-        if n <= _EXACT_PAIR_LIMIT:
-            adj = _adjugates(arr)
-            for i in range(n - 1):
-                c = np.matmul(adj[i], arr[i + 1:])
-                absorb(_displacement_norms_array(c))
-        else:
-            order = np.lexsort(
-                (arr[:, 1, 1], arr[:, 1, 0], arr[:, 0, 1], arr[:, 0, 0])
-            )
-            s = arr[order]
-            adj = _adjugates(s)
-            for i in range(n - 1):
-                j = min(n, i + 1 + _WINDOW)
-                c = np.matmul(adj[i], s[i + 1: j])
-                absorb(_displacement_norms_array(c))
-        return best, collisions
 
-    if len(arr) == 0 or len(other) == 0:
-        return math.inf, 0
-    if len(arr) * len(other) <= _EXACT_PAIR_LIMIT ** 2:
-        adj = _adjugates(arr)
-        for i in range(len(arr)):
-            absorb(_displacement_norms_array(np.matmul(adj[i], other)))
-        return best, collisions
-    both = np.concatenate([arr, other], axis=0)
-    tag = np.concatenate(
-        [np.zeros(len(arr), dtype=bool), np.ones(len(other), dtype=bool)]
+def _norm_and_drift(stack: np.ndarray) -> tuple[float, float]:
+    """F^2 = max ||A||_F^2 over the stack, and eta = max |det A - 1| +
+    2 eps F^2, which bounds the true drift through the rounding of the
+    determinants."""
+    flat = stack.reshape(-1, 4)
+    # an overflowing stack gets F^2 = inf, which makes every pair a candidate
+    with np.errstate(over="ignore"):
+        f2 = float((flat * flat).sum(axis=1).max())
+        det = flat[:, 0] * flat[:, 3] - flat[:, 1] * flat[:, 2]
+    eta = float(np.abs(det - 1.0).max()) + 2.0 * _EPS * f2
+    return f2, eta
+
+
+def _half_trace_weights(stack: np.ndarray) -> np.ndarray:
+    """Rows w_B with half-trace(adj(A) @ B) = (a, b, c, d)_A . w_B, that is
+    w_B = (d, -c, -b, a)_B / 2."""
+    return stack.reshape(-1, 4)[:, ::-1] * np.array([0.5, -0.5, -0.5, 0.5])
+
+
+def _filtered_scan(arr: np.ndarray, other: np.ndarray | None) -> tuple[float, int]:
+    """Every pair of _pairwise_min's exact scan, evaluated only inside the
+    half-trace window, and none twice."""
+    right = arr if other is None else other
+    rows = arr.reshape(-1, 4)
+    f2, eta = _norm_and_drift(
+        arr if other is None else np.concatenate([arr, other])
     )
+    adj = _adjugates(arr)
+    w = _half_trace_weights(right)
+
+    # seed pairs: neighbours in projection order, one per row of arr
+    proj = right.reshape(-1, 4) @ _SWEEP_DIRECTION
+    order = np.argsort(proj)
+    if other is None:
+        first, then = order[:-1], order[1:]
+        first, then = np.minimum(first, then), np.maximum(first, then)
+        by_row = np.argsort(first, kind="stable")
+        first, then = first[by_row], then[by_row]
+    else:
+        first = np.arange(len(arr))
+        near = np.searchsorted(proj[order], rows @ _SWEEP_DIRECTION)
+        then = order[np.minimum(near, len(right) - 1)]
+    best, hits = _evaluate(adj, first, right, then)
+
+    n, m = len(arr), len(right)
+    lo = 0
+    while lo < n:
+        start = lo + 1 if other is None else 0
+        if start >= m:
+            break
+        hi = min(n, lo + max(1, _SWEEP_CHUNK // (m - start)))
+        t = rows[lo:hi] @ w[start:].T
+        t_lo, t_hi = _half_trace_window(max(best, COLLISION_TOL), f2, eta)
+        keep = ~((t < t_lo) | (t > t_hi))
+        if other is None:
+            keep &= np.arange(start, m) > np.arange(lo, hi)[:, None]
+        seeded = slice(*np.searchsorted(first, [lo, hi]))
+        keep[first[seeded] - lo, then[seeded] - start] = False
+        i, j = np.nonzero(keep)
+        d, h = _evaluate(adj, i + lo, right, j + start)
+        best = min(best, d)
+        hits += h
+        lo = hi
+    return best, hits
+
+
+def _window_scan(arr: np.ndarray, other: np.ndarray | None) -> tuple[float, int]:
+    """_pairwise_min's windowed scan: neighbours at offsets 1.._WINDOW in
+    lexicographic order (only pairs across the arrays when other is given),
+    one offset at a time."""
+    both = arr if other is None else np.concatenate([arr, other], axis=0)
     order = np.lexsort(
         (both[:, 1, 1], both[:, 1, 0], both[:, 0, 1], both[:, 0, 0])
     )
-    s, st = both[order], tag[order]
+    s = both[order]
     adj = _adjugates(s)
-    for i in range(len(s) - 1):
-        j = min(len(s), i + 1 + _WINDOW)
-        cross = st[i + 1: j] != st[i]
-        if not cross.any():
-            continue
-        c = np.matmul(adj[i], s[i + 1: j][cross])
-        absorb(_displacement_norms_array(c))
-    return best, collisions
+    from_other = order >= len(arr)
+    n = len(s)
+    best = math.inf
+    hits = 0
+    for offset in range(1, min(_WINDOW, n - 1) + 1):
+        i = np.arange(n - offset)
+        if other is not None:
+            i = i[from_other[:-offset] != from_other[offset:]]
+        d, h = _evaluate(adj, i, s, i + offset)
+        best = min(best, d)
+        hits += h
+    return best, hits
 
 
 def _collision_count(arr: np.ndarray) -> int:
@@ -371,12 +507,9 @@ def _collision_count(arr: np.ndarray) -> int:
     n = len(arr)
     if n < 2:
         return 0
-    flat = arr.reshape(n, 4)
-    f2 = float((flat * flat).sum(axis=1).max())
-    det = arr[:, 0, 0] * arr[:, 1, 1] - arr[:, 0, 1] * arr[:, 1, 0]
-    eta = float(np.abs(det - 1.0).max()) + 2.0 * np.finfo(float).eps * f2
+    f2, eta = _norm_and_drift(arr)
     radius = math.sqrt(f2) * (4.0 * COLLISION_TOL + 8.0 * eta)
-    proj = flat @ _SWEEP_DIRECTION
+    proj = arr.reshape(n, 4) @ _SWEEP_DIRECTION
     order = np.argsort(proj)
     p = proj[order]
     stop = np.searchsorted(p, p + radius, side="right")
@@ -421,9 +554,11 @@ class DiophantineProfile:
     `fitted_c` is the exponential decay rate of the per-depth minima (the
     base c in min_n ~ C c^n), clamped into (0, 1]; None when fewer than two
     finite rows exist past depth 2.  `total_collisions` counts exact
-    coincidences of distinct words, the signature of a non-free system; on
-    levels of more than _EXACT_PAIR_LIMIT words it is a lower bound, because
-    the windowed scan misses pairs within large groups of equal products.
+    coincidences of distinct words, the signature of a non-free system.
+    From depth `windowed_from` on, levels have more than _EXACT_PAIR_LIMIT
+    words and are scanned by a sorted window: there `min_dist` is an upper
+    bound and `collisions` a lower bound, because the window misses pairs
+    within large groups of equal products.
     """
 
     rows: tuple[SeparationRow, ...]
@@ -434,8 +569,18 @@ class DiophantineProfile:
     def free_so_far(self) -> bool:
         return self.total_collisions == 0
 
+    @property
+    def windowed_from(self) -> int | None:
+        """First depth whose level the windowed scan bounds, or None."""
+        return next((r.depth for r in self.rows
+                     if r.word_count > _EXACT_PAIR_LIMIT), None)
+
 
 def diophantine_profile(cfg: SystemConfig, depth: int) -> DiophantineProfile:
+    """Per depth n, the closest pair of distinct length-n products and the
+    exact collisions among them.  Levels of up to _EXACT_PAIR_LIMIT words
+    get exact values; beyond that min_dist is an upper bound and collisions
+    a lower bound (see DiophantineProfile.windowed_from)."""
     rows = []
     for n in range(1, depth + 1):
         lev = cfg.table.level(n)
@@ -473,7 +618,10 @@ class DiscretenessProfile:
     closest pair among all distinct products seen so far (any lengths, exact
     collisions excluded).  Approach of the pairwise minimum to zero is the
     accumulation signature of a non-semidiscrete system; approach to
-    identity refutes outright.
+    identity refutes outright.  Once a level has more than
+    _EXACT_PAIR_LIMIT words, or a level times the pool of shorter products
+    more than its square in pairs, that comparison is a sorted window: the
+    pairwise minimum is then an upper bound and the collisions a lower bound.
     """
 
     rows: tuple[DiscretenessRow, ...]

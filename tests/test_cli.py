@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from projifs import semigroup
+from projifs import cones, semigroup
 from projifs.cli import rerun_manifest, run_command
 from projifs.config import parse_config
 from projifs.svgplot import attractor_svg, line_plot_svg
@@ -243,6 +243,40 @@ class TestCsvContracts:
         assert len(built) == 2
         assert built[1] == built[0].inverse()
         assert products == []
+
+
+    def test_report_searches_each_multicone_once(self, tmp_path, monkeypatch):
+        searched = []
+        search = cones._search_multicone
+
+        def counting(cfg, *args):
+            searched.append(cfg)
+            return search(cfg, *args)
+
+        monkeypatch.setattr(cones, "_search_multicone", counting)
+        assert run_command(
+            ["report", "--config", cfg_path("positive_pair.cfg"),
+             "--out", str(tmp_path)]
+        ) == 0
+        # forward (certify-uh, then reused by certify-sd) and inverse
+        assert len(searched) == 2
+        assert searched[1] == searched[0].inverse()
+
+    def test_diophantine_says_when_the_scan_is_windowed(self, tmp_path, capsys):
+        path = cfg_path("inverse_pair.cfg")
+        for depth, windowed in ((12, False), (13, True)):
+            out = tmp_path / str(depth)
+            assert run_command(["diophantine", "--config", path,
+                                "--depth", str(depth), "--out", str(out)]) == 0
+            text = capsys.readouterr().out
+            note = ("note: from depth 13 on, levels are scanned by a sorted "
+                    "window: min_dist is an upper bound and collisions a "
+                    "lower bound")
+            assert (note in text) is windowed
+            rows = read_rows(out / "diophantine.csv")
+            assert list(rows[0]) == ["depth", "word_count", "min_dist",
+                                     "collisions"]
+            assert len(rows) == depth
 
 
 class TestScanContinuity:

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import random_sl2
 from projifs.config import parse_config, parse_family
@@ -344,6 +345,241 @@ def test_collision_count_and_note_match_all_pairs_scan(cfg, rows, monkeypatch):
     notes = critical_exponent_bracket(cfg, depth - 1).notes
     monkeypatch.setattr(spectral, "_collision_count", lambda lev: exact[id(lev)])
     assert critical_exponent_bracket(cfg, depth - 1).notes == notes
+
+
+def _reference_pairwise_min(arr, other=None):
+    """The per-row scan that _pairwise_min replaced, kept as its reference."""
+    best = math.inf
+    collisions = 0
+
+    def absorb(dists):
+        nonlocal best, collisions
+        hit = dists < semigroup.COLLISION_TOL
+        collisions += int(hit.sum())
+        live = dists[~hit]
+        if live.size:
+            best = min(best, float(live.min()))
+
+    if other is None:
+        n = len(arr)
+        if n < 2:
+            return math.inf, 0
+        if n <= semigroup._EXACT_PAIR_LIMIT:
+            adj = semigroup._adjugates(arr)
+            for i in range(n - 1):
+                c = np.matmul(adj[i], arr[i + 1:])
+                absorb(semigroup._displacement_norms_array(c))
+        else:
+            order = np.lexsort(
+                (arr[:, 1, 1], arr[:, 1, 0], arr[:, 0, 1], arr[:, 0, 0])
+            )
+            s = arr[order]
+            adj = semigroup._adjugates(s)
+            for i in range(n - 1):
+                j = min(n, i + 1 + semigroup._WINDOW)
+                c = np.matmul(adj[i], s[i + 1: j])
+                absorb(semigroup._displacement_norms_array(c))
+        return best, collisions
+
+    if len(arr) == 0 or len(other) == 0:
+        return math.inf, 0
+    if len(arr) * len(other) <= semigroup._EXACT_PAIR_LIMIT ** 2:
+        adj = semigroup._adjugates(arr)
+        for i in range(len(arr)):
+            absorb(semigroup._displacement_norms_array(np.matmul(adj[i], other)))
+        return best, collisions
+    both = np.concatenate([arr, other], axis=0)
+    tag = np.concatenate(
+        [np.zeros(len(arr), dtype=bool), np.ones(len(other), dtype=bool)]
+    )
+    order = np.lexsort(
+        (both[:, 1, 1], both[:, 1, 0], both[:, 0, 1], both[:, 0, 0])
+    )
+    s, st = both[order], tag[order]
+    adj = semigroup._adjugates(s)
+    for i in range(len(s) - 1):
+        j = min(len(s), i + 1 + semigroup._WINDOW)
+        cross = st[i + 1: j] != st[i]
+        if not cross.any():
+            continue
+        c = np.matmul(adj[i], s[i + 1: j][cross])
+        absorb(semigroup._displacement_norms_array(c))
+    return best, collisions
+
+
+def _assert_same_scan(arr, other=None):
+    got = semigroup._pairwise_min(arr, other)
+    want = _reference_pairwise_min(arr, other)
+    assert got == want
+    assert type(got[0]) is float and type(got[1]) is int
+
+
+def _random_stacks():
+    out = {}
+    for seed, max_log in ((21, 1.0), (22, 5.0), (23, 10.0), (24, 19.0)):
+        rng = np.random.default_rng(seed)
+        base = _random_stack(rng, 150, max_log)
+        out[f"random-{max_log:g}"] = _shuffled(
+            rng, base, base[:10],
+            _near_copies(rng, base[10:40], 10.0 ** rng.uniform(-12, -1, 30)),
+        )
+    # scaled copies far apart in projection order, so that no seed pair
+    # finds them
+    rng = np.random.default_rng(25)
+    base = _random_stack(rng, 400, 6.0)
+    out["scaled-spread"] = _shuffled(rng, base, 1.01 * base[:40])
+    # a run of identical rows longer than the window
+    rng = np.random.default_rng(26)
+    base = _random_stack(rng, 100, 3.0)
+    out["long-run"] = _shuffled(rng, base, np.repeat(base[:1], 80, axis=0))
+    return out
+
+
+SCAN_STACKS = {**COLLISION_STACKS, **_random_stacks()}
+
+
+class TestPairwiseScan:
+    @pytest.mark.parametrize("name", sorted(SCAN_STACKS))
+    @pytest.mark.parametrize("chunk", [None, 1, 7])
+    def test_matches_per_row_scan(self, name, chunk, monkeypatch):
+        arr = SCAN_STACKS[name]
+        if chunk is not None:
+            monkeypatch.setattr(semigroup, "_SWEEP_CHUNK", chunk)
+        _assert_same_scan(arr)
+        split = len(arr) // 3
+        _assert_same_scan(arr[:split], arr[split:])
+        _assert_same_scan(arr[split:], arr[:split])
+
+    @pytest.mark.parametrize("name", sorted(SCAN_STACKS))
+    @pytest.mark.parametrize("chunk", [None, 7])
+    def test_windowed_matches_per_row_scan(self, name, chunk, monkeypatch):
+        monkeypatch.setattr(semigroup, "_EXACT_PAIR_LIMIT", 10)
+        if chunk is not None:
+            monkeypatch.setattr(semigroup, "_SWEEP_CHUNK", chunk)
+        arr = SCAN_STACKS[name]
+        _assert_same_scan(arr)
+        split = len(arr) // 3
+        _assert_same_scan(arr[:split], arr[split:])
+
+    def test_pairs_are_evaluated_in_row_order(self):
+        # adj(earlier) @ later: at norm ~3e3 the two orders of a pair near
+        # COLLISION_TOL can fall on opposite sides of it
+        tol = semigroup.COLLISION_TOL
+        rng = np.random.default_rng(12)
+        base = _random_stack(rng, 300, 8.0)
+        near = _near_copies(rng, base, tol * rng.uniform(0.9, 1.1, 300))
+        order_matters = 0
+        for a, b in zip(base, near):
+            counts = []
+            for x, y in ((a, b), (b, a)):
+                _assert_same_scan(np.stack([x, y]))
+                _assert_same_scan(x[None], y[None])
+                counts.append(semigroup._pairwise_min(np.stack([x, y]))[1])
+            order_matters += counts[0] != counts[1]
+        assert order_matters > 0
+
+    def test_empty_and_single(self):
+        one = np.stack([DIAG2.array])
+        none = np.empty((0, 2, 2))
+        assert semigroup._pairwise_min(one) == (math.inf, 0)
+        assert semigroup._pairwise_min(none) == (math.inf, 0)
+        assert semigroup._pairwise_min(one, none) == (math.inf, 0)
+        assert semigroup._pairwise_min(none, one) == (math.inf, 0)
+
+    def test_prefilter_prunes_and_never_repeats_a_pair(self, monkeypatch):
+        seen = []
+        evaluate = semigroup._displacement_norms_array
+
+        def counting(c):
+            seen.append(len(c))
+            return evaluate(c)
+
+        monkeypatch.setattr(semigroup, "_displacement_norms_array", counting)
+        lev = parse_config(CONFIGS / "positive_pair.cfg").table.level(10)
+        semigroup._pairwise_min(lev)
+        all_pairs = len(lev) * (len(lev) - 1) // 2
+        assert all_pairs == 523_776
+        assert sum(seen) < 0.05 * all_pairs
+        for arr in SCAN_STACKS.values():
+            split = len(arr) // 3
+            for stacks, pairs in (
+                ((arr,), len(arr) * (len(arr) - 1) // 2),
+                ((arr[:split], arr[split:]), split * (len(arr) - split)),
+            ):
+                seen.clear()
+                semigroup._pairwise_min(*stacks)
+                assert sum(seen) <= pairs
+        # norms near 1e8 leave no window: every pair, each once
+        arr = COLLISION_STACKS["large_norm"]
+        seen.clear()
+        semigroup._pairwise_min(arr)
+        assert sum(seen) == len(arr) * (len(arr) - 1) // 2
+
+
+def _level_scan_systems():
+    plain = sorted(
+        p for p in CONFIGS.glob("*.cfg") if not p.stem.startswith("family_")
+    )
+    return [pytest.param(parse_config(p), id=p.stem) for p in plain]
+
+
+@pytest.mark.parametrize("cfg", _level_scan_systems())
+def test_scan_matches_per_row_scan_on_bundled_levels(cfg):
+    """Every level of up to _EXACT_PAIR_LIMIT rows, within itself and
+    against the pool of shorter levels that discreteness_profile builds."""
+    pool = None
+    depth = 1
+    while cfg.k ** depth <= semigroup._EXACT_PAIR_LIMIT and depth <= 24:
+        lev = cfg.table.level(depth)
+        _assert_same_scan(lev)
+        if pool is not None:
+            _assert_same_scan(lev, pool)
+        pool = lev if pool is None else np.concatenate([pool, lev], axis=0)
+        depth += 1
+
+
+@st.composite
+def _near_pairs(draw):
+    """A det-one A and B = s A exp(X): X traceless of norm up to 3, and a
+    scalar s that moves det B as far as the `scaled` stack does."""
+    alpha, beta = (draw(st.floats(0.0, math.pi)) for _ in range(2))
+    r = draw(st.floats(0.0, 19.0))
+    rot = [np.array([[math.cos(v), -math.sin(v)], [math.sin(v), math.cos(v)]])
+           for v in (alpha, beta)]
+    a = rot[0] @ np.diag([math.exp(r), math.exp(-r)]) @ rot[1]
+    x = np.array(draw(st.lists(
+        st.floats(-1.0, 1.0, allow_nan=False), min_size=3, max_size=3)))
+    size = draw(st.sampled_from([0.0, 1e-14, 1e-11, 1e-9, 1e-6, 1e-3, 0.3, 3.0]))
+    norm = float(np.linalg.norm(x))
+    x = x * (size / norm if norm > 0 else 0.0)
+    gen = np.array([[x[0], x[1]], [x[2], -x[0]]])
+    # gen^2 = q I, so exp(gen) = cosh(sqrt q) I + sinh(sqrt q) / sqrt q gen
+    q = x[0] * x[0] + x[1] * x[2]
+    lam = math.sqrt(abs(q))
+    if lam == 0.0:
+        c0, c1 = 1.0, 1.0
+    elif q > 0:
+        c0, c1 = math.cosh(lam), math.sinh(lam) / lam
+    else:
+        c0, c1 = math.cos(lam), math.sin(lam) / lam
+    scale = draw(st.floats(1.0 / 1.01, 1.01))
+    b = scale * (a @ (c0 * np.eye(2) + c1 * gen))
+    return draw(st.permutations([a, b]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_near_pairs())
+def test_half_trace_window_contains_every_close_pair(pair):
+    """The filter's bound: a pair at computed distance d lies inside the
+    window of any tau > d, slack included."""
+    a, b = pair
+    dist = semigroup._displacement_norms_array(
+        np.matmul(semigroup._adjugates(a[None]), b[None]))[0]
+    f2, eta = semigroup._norm_and_drift(np.stack([a, b]))
+    t = (a.reshape(1, 4) @ semigroup._half_trace_weights(b[None]).T)[0, 0]
+    tau = max(np.nextafter(dist, math.inf), semigroup.COLLISION_TOL)
+    lo, hi = semigroup._half_trace_window(tau, f2, eta)
+    assert not (t < lo or t > hi), (dist, t, lo, hi, f2, eta)
 
 
 class TestDiophantineProfile:
