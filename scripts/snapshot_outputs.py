@@ -1,0 +1,90 @@
+#!/usr/bin/env python3
+"""Run every CLI command on the bundled configs and keep what each run writes.
+
+    PYTHONPATH=src python3 scripts/snapshot_outputs.py OUT
+
+Run it from the repository root: configs are passed by their relative paths,
+so `report.txt` reads the same in any checkout.  The runs are
+
+- every command with its default options on each single-system config
+  (`pressure` with `--s 0.4`), and `scan-continuity` on both families;
+- `--norm max` for the commands that read the norm;
+- `--samples 2000 --seed 7` for the sampling commands.
+
+Each run writes its outputs, and its stdout as `stdout.txt`, to
+`OUT/<command>/<config>/` (a variant run to `OUT/<command>/<config>.<variant>/`),
+and `OUT/exit_codes.csv` lists every run's exit code.  Two snapshots have the
+same outputs when `diff -r -x manifest.json A B` prints nothing.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import csv
+import io
+import sys
+from pathlib import Path
+
+from projifs.cli import run_command
+
+CONFIG_DIR = Path("configs")
+
+COMMANDS = (
+    "classify", "enumerate", "zeta", "pressure", "critexp", "attractor",
+    "repeller", "dimension", "certify-uh", "certify-sd", "diophantine",
+    "furstenberg", "pivot", "lower-bound", "reduce", "report",
+)
+NORM_COMMANDS = (
+    "enumerate", "zeta", "pressure", "critexp", "dimension", "certify-uh",
+    "furstenberg", "pivot", "lower-bound", "reduce", "report",
+)
+SAMPLING_COMMANDS = ("attractor", "repeller", "furstenberg")
+
+VARIANTS = (
+    ("", COMMANDS, []),
+    ("norm-max", NORM_COMMANDS, ["--norm", "max"]),
+    ("samples-2000-seed-7", SAMPLING_COMMANDS,
+     ["--samples", "2000", "--seed", "7"]),
+)
+
+
+def runs():
+    """(command, config path, variant, extra argv) for every run."""
+    systems = sorted(p for p in CONFIG_DIR.glob("*.cfg")
+                     if not p.name.startswith("family_"))
+    for variant, commands, extra in VARIANTS:
+        for command in commands:
+            s = ["--s", "0.4"] if command == "pressure" else []
+            for path in systems:
+                yield command, path, variant, extra + s
+    for path in sorted(CONFIG_DIR.glob("family_*.cfg")):
+        yield "scan-continuity", path, "", []
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if len(argv) != 1:
+        print("usage: snapshot_outputs.py OUT", file=sys.stderr)
+        return 2
+    out = Path(argv[0])
+    rows = []
+    for command, path, variant, extra in runs():
+        name = path.stem + (f".{variant}" if variant else "")
+        run_dir = out / command / name
+        run_dir.mkdir(parents=True, exist_ok=True)
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            code = run_command([command, "--config", path.as_posix(), *extra,
+                                "--out", str(run_dir)])
+        (run_dir / "stdout.txt").write_text(stdout.getvalue(), encoding="utf-8")
+        rows.append((command, path.stem, variant, code))
+        print(f"{command} {name}: exit {code}")
+    with open(out / "exit_codes.csv", "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(("command", "config", "variant", "code"))
+        writer.writerows(rows)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -31,6 +31,15 @@ from .semigroup import SystemConfig
 #: cloud is reproducible bit for bit from its seed.
 _BATCHES = 16
 
+#: Fixed directions closer than this merge into one point of a cloud.
+_MERGE_TOL = 1e-12
+
+#: Fewest box sizes a dimension fit may rest on.
+_MIN_SCALES = 4
+
+#: Clouds closer than this count as overlapping.
+_OVERLAP_TOL = 1e-3
+
 
 @dataclass(frozen=True)
 class PointCloud:
@@ -44,38 +53,34 @@ class PointCloud:
         return int(self.points.size)
 
 
-def _sorted_dedupe(pts: np.ndarray, merge_tol: float) -> np.ndarray:
+def _sorted_dedupe(pts: np.ndarray) -> np.ndarray:
     if pts.size == 0:
         return pts
     s = np.sort(pts)
-    keep = np.concatenate([[True], np.diff(s) > merge_tol])
+    keep = np.concatenate([[True], np.diff(s) > _MERGE_TOL])
     s = s[keep]
-    if s.size > 1 and (s[0] + PI) - s[-1] <= merge_tol:
+    if s.size > 1 and (s[0] + PI) - s[-1] <= _MERGE_TOL:
         s = s[:-1]
     return s
 
 
-def attractor_points_fixedpoint(
-    cfg: SystemConfig, depth: int, merge_tol: float = 1e-12
-) -> PointCloud:
+def attractor_points_fixedpoint(cfg: SystemConfig, depth: int) -> PointCloud:
     """Attracting and neutral fixed directions of all products of length
-    1..depth, merged at merge_tol."""
+    1..depth, merged at _MERGE_TOL."""
     pts = np.concatenate([np.empty(0)] + [
         attracting_directions_array(cfg.table.level(n))
         for n in range(1, depth + 1)
     ])
     return PointCloud(
-        points=_sorted_dedupe(pts, merge_tol),
+        points=_sorted_dedupe(pts),
         method="fixed-point",
         depth=depth,
     )
 
 
-def repeller_points_fixedpoint(
-    cfg: SystemConfig, depth: int, merge_tol: float = 1e-12
-) -> PointCloud:
+def repeller_points_fixedpoint(cfg: SystemConfig, depth: int) -> PointCloud:
     """The repeller is the attractor of the inverted alphabet."""
-    return attractor_points_fixedpoint(cfg.inverse(), depth, merge_tol)
+    return attractor_points_fixedpoint(cfg.inverse(), depth)
 
 
 # ---------------------------------------------------------------------------
@@ -186,9 +191,8 @@ def repeller_points_orbit(
     samples: int,
     seed: int | None = None,
     tol: float = 1e-9,
-    max_iter: int = 3000,
 ) -> PointCloud:
-    return attractor_points_orbit(cfg.inverse(), samples, seed, tol, max_iter)
+    return attractor_points_orbit(cfg.inverse(), samples, seed, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -209,17 +213,13 @@ def _as_points(cloud) -> np.ndarray:
     return np.asarray(pts, dtype=float)
 
 
-def box_dimension(
-    cloud,
-    eps_values=None,
-    min_scales: int = 4,
-) -> DimensionEstimate:
+def box_dimension(cloud, eps_values=None) -> DimensionEstimate:
     """Least-squares slope of log N(eps) against log 1/eps over bins aligned
     at zero.  Scales where the count saturates the circle (>= 95% of all
     bins) or drops below 10 boxes are excluded, and so are scales too fine
     for the cloud to resolve (boxes averaging fewer than 8 points count the
     sample rather than the set), though never so many that fewer than
-    min_scales survive."""
+    _MIN_SCALES survive."""
     pts = _as_points(cloud)
     if pts.size == 0:
         raise ValueError("empty point cloud")
@@ -250,16 +250,16 @@ def box_dimension(
     # unresolved scales form the fine end; shed them finest-first but keep
     # enough scales for the fit
     unresolved = [e for e, n in rows if 8 * n > pts.size]
-    n_shed = min(len(unresolved), max(len(rows) - min_scales, 0))
+    n_shed = min(len(unresolved), max(len(rows) - _MIN_SCALES, 0))
     if n_shed:
         victims = set(unresolved[-n_shed:])
         dropped.extend(e for e, _ in rows if e in victims)
         rows = [(e, n) for e, n in rows if e not in victims]
     kept = [e for e, _ in rows]
     counts = [n for _, n in rows]
-    if len(kept) < min_scales:
+    if len(kept) < _MIN_SCALES:
         raise ValueError(
-            f"only {len(kept)} usable scales (need {min_scales}); the cloud "
+            f"only {len(kept)} usable scales (need {_MIN_SCALES}); the cloud "
             "is too sparse or too dense for this range of box sizes"
         )
     x = np.log(1.0 / np.asarray(kept))
@@ -320,14 +320,16 @@ class SeparationReport:
     tol: float
 
 
-def separation_report(a, b, tol: float = 1e-3) -> SeparationReport:
+def separation_report(a, b) -> SeparationReport:
     """Closest approach of two clouds, e.g. attractor against repeller."""
     a = np.sort(_as_points(a))
     b = np.sort(_as_points(b))
     if a.size == 0 or b.size == 0:
         raise ValueError("empty point cloud")
     d = _min_cross_distance(a, b)
-    return SeparationReport(min_distance=d, overlapping=d <= tol, tol=tol)
+    return SeparationReport(
+        min_distance=d, overlapping=d <= _OVERLAP_TOL, tol=_OVERLAP_TOL
+    )
 
 
 def invariance_residual(cfg: SystemConfig, cloud) -> float:

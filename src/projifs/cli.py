@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import platform
@@ -196,17 +197,21 @@ def _cmd_classify(args, run: _Run) -> int:
 
 def _cmd_enumerate(args, run: _Run) -> int:
     cfg = _load_config(args)
-    table = cfg.table
     code = 0
+    labels = [str(a) for a in range(cfg.k)]
     with open(run.path("words.csv"), "w", encoding="utf-8",
               newline="") as fh:
         fh.write("depth,word,norm\n")
         try:
             for n in range(1, min(args.depth, cfg.depth_cap) + 1):
-                norms = table.norms(n)
-                for idx, norm in enumerate(norms):
-                    word = _word_str(table.word(n, idx))
-                    fh.write(f"{n},{word},{float(norm)!r}\n")
+                norms = cfg.table.norms(n).tolist()
+                if n > 1:
+                    # row i is letter i // k^(n-1), then row i % k^(n-1)
+                    # of the level before
+                    labels = [f"{a}-{tail}" for a in range(cfg.k)
+                              for tail in labels]
+                fh.writelines(f"{n},{word},{norm!r}\n"
+                              for word, norm in zip(labels, norms))
             _check_depth(cfg, args.depth)
         except BudgetExceededError as exc:
             print(f"budget exceeded, output truncated: {exc}",
@@ -590,46 +595,43 @@ def _cmd_report(args, run: _Run) -> int:
     return 0
 
 
-_HANDLERS = {
-    "classify": _cmd_classify,
-    "enumerate": _cmd_enumerate,
-    "zeta": _cmd_zeta,
-    "pressure": _cmd_pressure,
-    "critexp": _cmd_critexp,
-    "attractor": _cmd_attractor,
-    "repeller": _cmd_repeller,
-    "dimension": _cmd_dimension,
-    "certify-uh": _cmd_certify_uh,
-    "certify-sd": _cmd_certify_sd,
-    "diophantine": _cmd_diophantine,
-    "furstenberg": _cmd_furstenberg,
-    "pivot": _cmd_pivot,
-    "lower-bound": _cmd_lower_bound,
-    "reduce": _cmd_reduce,
-    "scan-continuity": _cmd_scan_continuity,
-    "report": _cmd_report,
+#: Per command: its handler, and the options the handler reads besides
+#: --config and --out, with their defaults.  --norm and --seed override the
+#: config, so only commands whose outputs depend on the config's norm or
+#: seed take them.  --tol is a bisection width for the spectral commands and
+#: a singular-value-ratio threshold for the sampling ones.
+_COMMANDS = {
+    "classify": (_cmd_classify, {}),
+    "enumerate": (_cmd_enumerate, {"depth": 6, "norm": None}),
+    "zeta": (_cmd_zeta, {"depth": 8, "norm": None, "s": 0.45}),
+    "pressure": (_cmd_pressure, {"depth": 8, "norm": None, "s": None}),
+    "critexp": (_cmd_critexp, {"depth": 10, "norm": None, "tol": 1e-4}),
+    "attractor": (_cmd_attractor, {"depth": 12, "samples": None,
+                                   "seed": None, "tol": 1e-9}),
+    "repeller": (_cmd_repeller, {"depth": 12, "samples": None,
+                                 "seed": None, "tol": 1e-9}),
+    "dimension": (_cmd_dimension, {"depth": 12, "norm": None, "tol": 1e-4}),
+    "certify-uh": (_cmd_certify_uh, {"depth": 10, "norm": None}),
+    "certify-sd": (_cmd_certify_sd, {"depth": 10}),
+    "diophantine": (_cmd_diophantine, {"depth": 8}),
+    "furstenberg": (_cmd_furstenberg, {"depth": 12, "norm": None,
+                                       "samples": None, "seed": None,
+                                       "tol": 1e-9}),
+    "pivot": (_cmd_pivot, {"depth": 4, "norm": None}),
+    "lower-bound": (_cmd_lower_bound, {"depth": 4, "norm": None, "n": 3}),
+    "reduce": (_cmd_reduce, {"norm": None, "seed": None}),
+    "scan-continuity": (_cmd_scan_continuity, {"depth": 10, "tol": 1e-4}),
+    "report": (_cmd_report, {"depth": 10, "norm": None, "tol": 1e-4}),
 }
 
-_DEFAULT_DEPTH = {
-    "enumerate": 6,
-    "zeta": 8,
-    "pressure": 8,
-    "critexp": 10,
-    "attractor": 12,
-    "repeller": 12,
-    "dimension": 12,
-    "certify-uh": 10,
-    "certify-sd": 10,
-    "diophantine": 8,
-    "furstenberg": 12,
-    "pivot": 4,
-    "lower-bound": 4,
-    "scan-continuity": 10,
-    "report": 10,
-}
+_OPTION_TYPES = {"depth": int, "samples": int, "seed": int, "n": int,
+                 "tol": float, "s": float}
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and shared by every
+    run_command call; callers must not modify it."""
     parser = argparse.ArgumentParser(
         prog="projifs",
         description="Finite systems of unit-determinant 2x2 matrices acting "
@@ -637,27 +639,17 @@ def build_parser() -> argparse.ArgumentParser:
         "bounds, and certificates.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _HANDLERS:
+    for name, (_, options) in _COMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
-        p.add_argument("--depth", type=int,
-                       default=_DEFAULT_DEPTH.get(name, 10))
-        p.add_argument("--samples", type=int, default=None)
-        # tol is a bisection width for the spectral commands and a
-        # singular-value-ratio threshold for the sampling ones
-        p.add_argument(
-            "--tol", type=float,
-            default=1e-9 if name in ("attractor", "repeller", "furstenberg")
-            else 1e-4,
-        )
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--norm", choices=("op2", "max"), default=None)
+        for option, default in options.items():
+            if option == "norm":
+                p.add_argument("--norm", choices=("op2", "max"), default=None)
+            else:
+                p.add_argument(f"--{option}", type=_OPTION_TYPES[option],
+                               default=default,
+                               required=(name, option) == ("pressure", "s"))
         p.add_argument("--out", default=".")
-        if name in ("zeta", "pressure"):
-            p.add_argument("--s", type=float, required=(name == "pressure"),
-                           default=0.45 if name == "zeta" else None)
-        if name == "lower-bound":
-            p.add_argument("--n", type=int, default=3)
     return parser
 
 
@@ -668,7 +660,7 @@ def run_command(argv) -> int:
         return 0 if exc.code in (0, None) else 1
     run = _Run(args.command, args)
     try:
-        code = _HANDLERS[args.command](args, run)
+        code = _COMMANDS[args.command][0](args, run)
     except (ProjIFSError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, BudgetExceededError):

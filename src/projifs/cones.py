@@ -41,8 +41,20 @@ _MAX_ARCS = 64
 #: Identity-approach threshold that turns evidence into refutation.
 _IDENTITY_TOL = 1e-9
 
-#: Words, shortest first, whose fixed directions seed the multicone search.
+#: Words, shortest first and of length at most _SEED_DEPTH, whose fixed
+#: directions seed the multicone search.
 _SEED_WORDS = 640
+_SEED_DEPTH = 8
+
+#: Containment margin that separates a compact multicone from a strict-only
+#: one; seeds are padded by 4 * _CONE_EPS.
+_CONE_EPS = 1e-3
+
+#: Closure passes of the multicone search, the gap below which arcs merge,
+#: and the largest endpoint move that counts as a stalled closure.
+_MAX_PASSES = 64
+_MERGE_TOL = 1e-9
+_STALL_TOL = 1e-7
 
 Arc = tuple[float, float]
 
@@ -130,10 +142,6 @@ class Multicone:
         if len(cs) > 1 and cs[-1][1] - PI >= cs[0][0]:
             raise ValueError("arc closures overlap")
         object.__setattr__(self, "arcs", tuple(cs))
-
-    @property
-    def total_length(self) -> float:
-        return math.fsum(hi - lo for lo, hi in self.arcs)
 
     def contains_point(self, theta: float, slack: float = 0.0) -> bool:
         for lo, hi in self.arcs:
@@ -246,39 +254,25 @@ def _seed_points(cfg: SystemConfig, seed_depth: int) -> list[float]:
     return np.concatenate(chunks).tolist()
 
 
-def find_invariant_multicone(
-    cfg: SystemConfig,
-    seed_depth: int = 8,
-    eps: float = 1e-3,
-    max_iters: int = 64,
-    merge_tol: float = 1e-9,
-    stall_tol: float = 1e-7,
-) -> ConeSearchResult:
+def find_invariant_multicone(cfg: SystemConfig) -> ConeSearchResult:
     """Search for a multicone every letter maps into itself.
 
     Seeds are neighborhoods of attracting and neutral fixed points of short
     products; the union is closed under the letter maps until it stalls.
-    The final margin classifies the outcome: at least eps inside is a
-    compact certificate, within eps either way is a strict-only certificate
-    (invariance verified at tolerance eps), anything worse is a failure.
+    The final margin classifies the outcome: at least _CONE_EPS inside is a
+    compact certificate, within _CONE_EPS either way is a strict-only
+    certificate (invariance verified at that tolerance), anything worse is a
+    failure.
 
-    The result is kept in cfg.memo per argument tuple, so the analyses of
-    one system share one search, freed together with the config.
+    The result is kept in cfg.memo, so the analyses of one system share one
+    search, freed together with the config.
     """
-    key = ("multicone", seed_depth, eps, max_iters, merge_tol, stall_tol)
-    if key not in cfg.memo:
-        cfg.memo[key] = _search_multicone(cfg, *key[1:])
-    return cfg.memo[key]
+    if "multicone" not in cfg.memo:
+        cfg.memo["multicone"] = _search_multicone(cfg)
+    return cfg.memo["multicone"]
 
 
-def _search_multicone(
-    cfg: SystemConfig,
-    seed_depth: int,
-    eps: float,
-    max_iters: int,
-    merge_tol: float,
-    stall_tol: float,
-) -> ConeSearchResult:
+def _search_multicone(cfg: SystemConfig) -> ConeSearchResult:
     """The search behind find_invariant_multicone."""
     notes = []
     for m in cfg.matrices:
@@ -288,16 +282,16 @@ def _search_multicone(
                 ("elliptic letter: no invariant multicone can exist; "
                  "a finite-order elliptic may admit a symmetrized search",),
             )
-    seeds = _seed_points(cfg, seed_depth)
+    seeds = _seed_points(cfg, _SEED_DEPTH)
     if not seeds:
         return ConeSearchResult(
             False, None, None, -math.inf, 0,
             ("no hyperbolic or neutral fixed points to seed from",),
         )
-    radius = 4.0 * eps
-    arcs = _merge_arcs([(t - radius, t + radius) for t in seeds], merge_tol)
+    radius = 4.0 * _CONE_EPS
+    arcs = _merge_arcs([(t - radius, t + radius) for t in seeds], _MERGE_TOL)
     iterations = 0
-    for iterations in range(1, max_iters + 1):
+    for iterations in range(1, _MAX_PASSES + 1):
         if arcs is None:
             return ConeSearchResult(
                 False, None, None, -math.inf, iterations,
@@ -310,7 +304,7 @@ def _search_multicone(
                 ("closure filled the circle",),
             )
         images = [a for m in cfg.matrices for a in (_map_arc(m, arc) for arc in arcs)]
-        new = _merge_arcs(arcs + images, merge_tol)
+        new = _merge_arcs(arcs + images, _MERGE_TOL)
         if new is None:
             return ConeSearchResult(
                 False, None, None, -math.inf, iterations,
@@ -327,34 +321,34 @@ def _search_multicone(
                 max(abs(_sdiff(a[0], b[0])), abs(_sdiff(a[1], b[1])))
                 for a, b in zip(arcs, new)
             )
-            if move < stall_tol:
+            if move < _STALL_TOL:
                 arcs = new
                 break
         arcs = new
     else:
-        notes.append(f"closure did not stabilize within {max_iters} passes")
+        notes.append(f"closure did not stabilize within {_MAX_PASSES} passes")
 
     # The closure converges onto the minimal invariant set, which the letters
     # map into itself with no room to spare at its extreme fixed points.
     # Gluing sub-resolution gaps and padding the stalled arcs into the
     # remaining ones buys back a measurable margin.
-    glued = _merge_arcs(arcs, 12.0 * eps)
+    glued = _merge_arcs(arcs, 12.0 * _CONE_EPS)
     if glued is not None:
         arcs = glued
-    arcs = _fatten(arcs, 4.0 * eps)
+    arcs = _fatten(arcs, 4.0 * _CONE_EPS)
     margin = min(
         containment_margin(arcs, [_map_arc(m, arc) for arc in arcs])
         for m in cfg.matrices
     )
     cone = Multicone(tuple(arcs))
-    if margin >= eps:
+    if margin >= _CONE_EPS:
         return ConeSearchResult(
             True, cone, ConeKind.COMPACT, margin, iterations, tuple(notes)
         )
-    if margin > -eps:
+    if margin > -_CONE_EPS:
         notes.append(
-            f"containment verified only at tolerance {eps}; the invariant "
-            "set grazes its own boundary"
+            f"containment verified only at tolerance {_CONE_EPS}; the "
+            "invariant set grazes its own boundary"
         )
         return ConeSearchResult(
             True, cone, ConeKind.STRICT_ONLY, margin, iterations, tuple(notes)
@@ -528,9 +522,7 @@ class UHCertificate:
 
 
 def certify_uniform_hyperbolicity(
-    cfg: SystemConfig,
-    depth: int = 10,
-    eps: float = 1e-3,
+    cfg: SystemConfig, depth: int = 10
 ) -> UHCertificate:
     """Certificate route: a compact forward multicone, a compact backward
     multicone for the inverse system, and a positive gap between them.
@@ -538,8 +530,8 @@ def certify_uniform_hyperbolicity(
     only the cone route certifies.
     """
     notes = []
-    forward = find_invariant_multicone(cfg, eps=eps)
-    backward = find_invariant_multicone(cfg.inverse(), eps=eps)
+    forward = find_invariant_multicone(cfg)
+    backward = find_invariant_multicone(cfg.inverse())
     relation = None
     gap = math.nan
     if forward.found and backward.found:
@@ -602,21 +594,17 @@ class SDCertificate:
         return self.status is not SDStatus.EVIDENCE_ONLY
 
 
-def certify_semidiscrete(
-    cfg: SystemConfig,
-    depth: int = 10,
-    eps: float = 1e-3,
-) -> SDCertificate:
+def certify_semidiscrete(cfg: SystemConfig, depth: int = 10) -> SDCertificate:
     """A strictly invariant multicone certifies semidiscreteness; products
     collapsing onto +-identity refute it; everything else stays evidence.
     The strict-only flavor of invariance carries its tolerance as a note.
     """
     notes = []
-    cone = find_invariant_multicone(cfg, eps=eps)
+    cone = find_invariant_multicone(cfg)
     if cone.found:
         if cone.kind is ConeKind.STRICT_ONLY:
             notes.append(
-                f"strict invariance verified at tolerance {eps}; margin "
+                f"strict invariance verified at tolerance {_CONE_EPS}; margin "
                 f"{cone.margin:.2e}"
             )
         return SDCertificate(

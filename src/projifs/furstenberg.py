@@ -60,23 +60,20 @@ def sample_stationary(
     samples: int,
     tol: float = 1e-9,
     seed: int | None = None,
-    max_iter: int = 3000,
 ) -> MeasureSample:
     """Draw `samples` points of the stationary measure for cfg.probs.
 
     The config must carry an explicit probability vector (the construction
     depends on it, and SystemConfig guarantees the entries are positive and
     normalized).  Raises NonConvergenceError when more than 1% of the draws
-    fail to collapse within max_iter steps.
+    fail to collapse within attractor_points_orbit's step budget.
     """
     if cfg.probs is None:
         raise ValueError(
             "sampling the stationary measure needs an explicit probability "
             "vector; set probs on the config"
         )
-    cloud = attractor_points_orbit(
-        cfg, samples, seed=seed, tol=tol, max_iter=max_iter
-    )
+    cloud = attractor_points_orbit(cfg, samples, seed=seed, tol=tol)
     master = cfg.seed if seed is None else seed
     return MeasureSample(
         points=cloud.points,

@@ -31,6 +31,10 @@ CLASS_TOL = 1e-9
 #: Entry tolerance below which renormalization is skipped entirely.
 _RENORM_SKIP = 1e-12
 
+#: Relative spread of the singular values below which their directions are
+#: treated as undefined.
+_SINGULAR_TOL = 1e-9
+
 PI = math.pi
 
 OP2 = "op2"
@@ -117,17 +121,18 @@ class Matrix2:
 IDENTITY2 = Matrix2(1.0, 0.0, 0.0, 1.0)
 
 
-def classify(m: Matrix2, tol: float = CLASS_TOL) -> MatrixClass:
+def classify(m: Matrix2) -> MatrixClass:
     """Projective class from the trace: |tr| < 2 elliptic, = 2 parabolic,
-    > 2 hyperbolic, with +-Id singled out first.  Comparisons use `tol`."""
-    if max(abs(m.a - 1.0), abs(m.b), abs(m.c), abs(m.d - 1.0)) <= tol:
+    > 2 hyperbolic, with +-Id singled out first.  Comparisons use
+    CLASS_TOL."""
+    if max(abs(m.a - 1.0), abs(m.b), abs(m.c), abs(m.d - 1.0)) <= CLASS_TOL:
         return MatrixClass.IDENTITY
-    if max(abs(m.a + 1.0), abs(m.b), abs(m.c), abs(m.d + 1.0)) <= tol:
+    if max(abs(m.a + 1.0), abs(m.b), abs(m.c), abs(m.d + 1.0)) <= CLASS_TOL:
         return MatrixClass.IDENTITY
     t = abs(m.trace)
-    if t < 2.0 - tol:
+    if t < 2.0 - CLASS_TOL:
         return MatrixClass.ELLIPTIC
-    if t <= 2.0 + tol:
+    if t <= 2.0 + CLASS_TOL:
         return MatrixClass.PARABOLIC
     return MatrixClass.HYPERBOLIC
 
@@ -204,14 +209,14 @@ def _eigen_angle(m: Matrix2, lam: float) -> float:
     return normalize_angle(math.atan2(vy, vx))
 
 
-def fixed_points(m: Matrix2, tol: float = CLASS_TOL) -> FixedPointData:
+def fixed_points(m: Matrix2) -> FixedPointData:
     """Fixed points of phi_m on RP^1, labelled by the derivative there.
 
     The eigendirection for the eigenvalue of modulus > 1 is attracting
     (derivative lambda^{-2} < 1), the other repelling.  Elliptic input is a
     result, not an error: no real fixed points.
     """
-    kind = classify(m, tol)
+    kind = classify(m)
     if kind in (MatrixClass.ELLIPTIC, MatrixClass.IDENTITY):
         return FixedPointData(kind=kind)
     tr = m.trace
@@ -234,7 +239,7 @@ def fixed_points(m: Matrix2, tol: float = CLASS_TOL) -> FixedPointData:
     )
 
 
-def singular_directions(m: Matrix2, tol: float = 1e-9) -> tuple[float, float]:
+def singular_directions(m: Matrix2) -> tuple[float, float]:
     """Angles (u_minus, u_plus) of the singular directions of m.
 
     u_minus is the eigendirection of M^T M for the eigenvalue ||m||^{-2}; the
@@ -249,7 +254,7 @@ def singular_directions(m: Matrix2, tol: float = 1e-9) -> tuple[float, float]:
     det = m.det()
     disc = max(t * t - 4.0 * det * det, 0.0)
     root = math.sqrt(disc)
-    if root <= tol * t:
+    if root <= _SINGULAR_TOL * t:
         raise DegenerateDirectionsError(
             f"singular values coincide within tolerance (spread {root:.3e})"
         )

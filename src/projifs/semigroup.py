@@ -37,6 +37,9 @@ Word = tuple[int, ...]
 #: Pairs closer than this are treated as the same matrix (exact collisions).
 COLLISION_TOL = 1e-10
 
+#: Angles within this of each other count as one common fixed direction.
+_COMMON_FIXED_TOL = 1e-9
+
 #: Per-level cap on enumerated words, a memory guard; the command line
 #: bounds the requested depth by the config's depth_cap.
 _HARD_LEVEL_WORDS = 6_000_000
@@ -194,9 +197,6 @@ class ProductTable:
 
     def min_norm(self, n: int) -> float:
         return float(self.norms(n).min())
-
-    def max_norm(self, n: int) -> float:
-        return float(self.norms(n).max())
 
 
 # ---------------------------------------------------------------------------
@@ -660,7 +660,7 @@ def discreteness_profile(cfg: SystemConfig, depth: int) -> DiscretenessProfile:
 # ---------------------------------------------------------------------------
 # Common fixed points.
 
-def common_fixed_points(cfg: SystemConfig, tol: float = 1e-9) -> tuple[float, ...]:
+def common_fixed_points(cfg: SystemConfig) -> tuple[float, ...]:
     """Angles fixed by every letter of the system, ascending; empty when none
     exist (an elliptic letter forces that).  Identity letters fix everything
     and constrain nothing."""
@@ -679,13 +679,14 @@ def common_fixed_points(cfg: SystemConfig, tol: float = 1e-9) -> tuple[float, ..
         return ()
     out: list[float] = []
     for t in sorted(candidates):
-        if out and circ_dist(out[-1], t) <= tol:
+        if out and circ_dist(out[-1], t) <= _COMMON_FIXED_TOL:
             continue
         if all(
-            circ_dist(proj_act(m, t), t) <= tol for m in cfg.matrices
+            circ_dist(proj_act(m, t), t) <= _COMMON_FIXED_TOL
+            for m in cfg.matrices
         ):
             out.append(t)
     # endpoints of (0, pi] can alias across the wrap
-    if len(out) > 1 and circ_dist(out[0], out[-1]) <= tol:
+    if len(out) > 1 and circ_dist(out[0], out[-1]) <= _COMMON_FIXED_TOL:
         out.pop()
     return tuple(out)

@@ -35,6 +35,12 @@ _LOG2 = math.log(2.0)
 _PARABOLIC_TOL = 1e-9
 _ACCUMULATION_TOL = 1e-3
 
+#: Largest exponent the bracket bisects up to.
+_S_MAX = 5.0
+
+#: Deepest level the parabolic-word shortcut scans.
+_PARABOLIC_DEPTH = 6
+
 
 @dataclass(frozen=True)
 class ZetaValues:
@@ -169,12 +175,11 @@ def critical_exponent_bracket(
     depth: int,
     c_const: float | None = None,
     tol: float = 1e-4,
-    s_max: float = 5.0,
 ) -> Bracket:
     """Bracket the critical exponent by bisecting on pressure certificates.
 
     With c_const: lo always satisfies a lower-pressure certificate (or is 0)
-    and hi an upper one (or +inf when even s_max cannot be certified).
+    and hi an upper one (or +inf when even _S_MAX cannot be certified).
     Without it there is no rigorous upper route; hi is then the zero of the
     deepest finite-depth pressure estimate and the bracket is not certified.
     A width above tol means the certificates themselves, not the bisection,
@@ -202,12 +207,12 @@ def critical_exponent_bracket(
             return 0.0
         return _bisect_edge(low_ok, 0.0, hi_limit, tol / 2.0)[0]
 
-    if c_const is not None and probe.upper(s_max, c_const) < 0.0:
+    if c_const is not None and probe.upper(_S_MAX, c_const) < 0.0:
 
         def high_ok(s):
             return probe.upper(s, c_const) < 0.0
 
-        lo, hi = 0.0, s_max
+        lo, hi = 0.0, _S_MAX
         lo_holds = low_ok(0.0)
         while hi - lo > tol:
             mid = 0.5 * (lo + hi)
@@ -231,11 +236,11 @@ def critical_exponent_bracket(
 
     if c_const is not None:
         notes.append(
-            f"no certified upper bound at or below s_max={s_max}; "
+            f"no certified upper bound at or below s_max={_S_MAX}; "
             "pressure upper bound stays nonnegative"
         )
         return Bracket(
-            refine_lower(s_max), math.inf, depth, False, c_const, tuple(notes)
+            refine_lower(_S_MAX), math.inf, depth, False, c_const, tuple(notes)
         )
 
     # estimate-only upper route
@@ -243,15 +248,15 @@ def critical_exponent_bracket(
         "upper endpoint is a finite-depth estimate; supply an "
         "almost-multiplicativity constant for a certified bracket"
     )
-    lo = refine_lower(s_max)
+    lo = refine_lower(_S_MAX)
 
     def est_pos(s):
         return probe.log_zeta(s, depth) / depth >= 0.0
 
-    if est_pos(s_max):
-        notes.append(f"finite-depth pressure still positive at s_max={s_max}")
+    if est_pos(_S_MAX):
+        notes.append(f"finite-depth pressure still positive at s_max={_S_MAX}")
         return Bracket(lo, math.inf, depth, False, None, tuple(notes))
-    hi = max(_bisect_edge(est_pos, 0.0, s_max, tol / 2.0)[1], lo)
+    hi = max(_bisect_edge(est_pos, 0.0, _S_MAX, tol / 2.0)[1], lo)
     return Bracket(lo, hi, depth, False, None, tuple(notes))
 
 
@@ -266,9 +271,10 @@ class QuickBound:
     word: Word | None = None
 
 
-def _parabolic_word(cfg: SystemConfig, scan_depth: int):
-    """Shortest word whose product is parabolic but not +-identity."""
-    for n in range(1, scan_depth + 1):
+def _parabolic_word(cfg: SystemConfig):
+    """Shortest word of length at most _PARABOLIC_DEPTH whose product is
+    parabolic but not +-identity."""
+    for n in range(1, _PARABOLIC_DEPTH + 1):
         if cfg.k ** n > 65536:
             break
         lev = cfg.table.level(n)
@@ -307,9 +313,7 @@ def _accumulation_evidence(cfg: SystemConfig) -> bool:
     )
 
 
-def quick_lower_bounds(
-    cfg: SystemConfig, scan_depth: int = 6
-) -> tuple[QuickBound, ...]:
+def quick_lower_bounds(cfg: SystemConfig) -> tuple[QuickBound, ...]:
     """Lower bounds on the critical exponent from structure alone.
 
     A parabolic product forces delta >= 1/2 (its powers have norm growing
@@ -318,7 +322,7 @@ def quick_lower_bounds(
     products is evidence, not proof, of delta = infinity.
     """
     bounds: list[QuickBound] = []
-    w = _parabolic_word(cfg, scan_depth)
+    w = _parabolic_word(cfg)
     if w is not None:
         bounds.append(QuickBound(0.5, "parabolic-product", True, w))
     if common_fixed_points(cfg):

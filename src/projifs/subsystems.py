@@ -60,12 +60,18 @@ from .spectral import Bracket, critical_exponent_bracket
 #: Chart slopes within this of one count as parabolic.
 _SLOPE_TOL = 1e-9
 
+#: Deepest word length scanned for a witness of a reducible case.
+_REDUCIBLE_DEPTH = 6
+
 #: Chart fixed points closer than this are treated as equal when pairing
 #: attracting and repelling words.
 _CHART_TOL = 1e-7
 
 _MAX_ELLIPTIC_ORDER = 64
 _ORDER_TOL = 1e-9
+
+#: Highest power of a candidate word tried as a pivot.
+_PIVOT_POWERS = 8
 
 #: Word budget for the default per-level depth of a Gamma alphabet.
 _GAMMA_BUDGET = 260_000
@@ -187,13 +193,11 @@ def _uh_reducible(x: float, chart) -> ReducibleVerdict:
     )
 
 
-def reducible_dimension(
-    cfg: SystemConfig, scan_depth: int = 6, tol: float = _SLOPE_TOL
-) -> ReducibleVerdict:
+def reducible_dimension(cfg: SystemConfig) -> ReducibleVerdict:
     """Case analysis at the shared fixed direction, following the trichotomy
     for reducible semigroups.
 
-    Words up to scan_depth are scanned in enumeration order for the two
+    Words up to _REDUCIBLE_DEPTH are scanned in enumeration order for the two
     interval-producing patterns: a parabolic word while some letter repels
     the shared direction, or an attracting/repelling word pair whose second
     fixed points differ.  The first witness found settles the verdict, so
@@ -208,12 +212,12 @@ def reducible_dimension(
     chart = _chart_letters(cfg, x)
     live = [
         (i, ab) for i, ab in enumerate(chart)
-        if abs(ab[0] - 1.0) > tol or abs(ab[1]) > tol
+        if abs(ab[0] - 1.0) > _SLOPE_TOL or abs(ab[1]) > _SLOPE_TOL
     ]
     if not live:
         raise NotReducibleError("every letter acts as the identity")
-    has_rep = any(alpha < 1.0 - tol for _, (alpha, _) in live)
-    has_att = any(alpha > 1.0 + tol for _, (alpha, _) in live)
+    has_rep = any(alpha < 1.0 - _SLOPE_TOL for _, (alpha, _) in live)
+    has_att = any(alpha > 1.0 + _SLOPE_TOL for _, (alpha, _) in live)
     if not has_rep:
         return ReducibleVerdict(
             case=ReducibleCase.SINGLETON_ATTRACTOR,
@@ -226,7 +230,7 @@ def reducible_dimension(
             ),
         )
     if not has_att and all(
-        abs(alpha - 1.0) > tol for _, (alpha, _) in live
+        abs(alpha - 1.0) > _SLOPE_TOL for _, (alpha, _) in live
     ) and len(live) == cfg.k:
         return _uh_reducible(x, [ab for _, ab in live])
 
@@ -234,11 +238,11 @@ def reducible_dimension(
     atts: list[tuple[Word, float]] = []
     reps: list[tuple[Word, float]] = []
     first_par: Word | None = None
-    for n in range(1, scan_depth + 1):
+    for n in range(1, _REDUCIBLE_DEPTH + 1):
         for w in itertools.product(range(cfg.k), repeat=n):
             alpha, beta = _compose_chart(chart, w)
-            if abs(alpha - 1.0) <= tol:
-                if abs(beta) > tol and first_par is None:
+            if abs(alpha - 1.0) <= _SLOPE_TOL:
+                if abs(beta) > _SLOPE_TOL and first_par is None:
                     first_par = w
             elif alpha > 1.0:
                 other = beta / (1.0 - alpha)
@@ -278,7 +282,7 @@ def reducible_dimension(
             ),
         )
     return _uh_reducible(
-        x, [ab for _, ab in live if ab[0] < 1.0 - tol]
+        x, [ab for _, ab in live if ab[0] < 1.0 - _SLOPE_TOL]
     )
 
 
@@ -370,19 +374,15 @@ def pivot_margins(pivot: Pivot) -> tuple[float, float, float]:
     return m_nest, gap, m_map
 
 
-def find_pivot(
-    cfg: SystemConfig,
-    depth: int = 4,
-    power_cap: int = 8,
-) -> Pivot:
+def find_pivot(cfg: SystemConfig, depth: int = 4) -> Pivot:
     """Search for a pivot word among products of length <= depth.
 
-    Candidate words are tried strongest first (operator norm descending, then
-    enumeration order), each with powers up to power_cap, and the first one
-    whose attracting point lies in U, repelling point in V, and whose image
-    of the complement of V lands inside U with clearance wins.  U and V are
-    read off point-cloud gaps; the returned containments are endpoint
-    verified and do not depend on cloud accuracy.
+    Candidate words are tried strongest first (operator norm descending,
+    then enumeration order), each with powers up to _PIVOT_POWERS, and the
+    first one whose attracting point lies in U, repelling point in V, and
+    whose image of the complement of V lands inside U with clearance wins.
+    U and V are read off point-cloud gaps; the returned containments are
+    endpoint verified and do not depend on cloud accuracy.
     """
     if common_fixed_points(cfg):
         raise ValueError(
@@ -427,7 +427,7 @@ def find_pivot(
         base = Matrix2(*table.level(n)[idx].ravel())
         word = table.word(n, idx)
         m = IDENTITY2
-        for j in range(1, power_cap + 1):
+        for j in range(1, _PIVOT_POWERS + 1):
             m = m @ base
             fp = fixed_points(m)
             if fp.kind is not MatrixClass.HYPERBOLIC:
@@ -456,7 +456,7 @@ def find_pivot(
             if min(pivot_margins(pivot)) > 0.0:
                 return pivot
     raise PivotNotFoundError(
-        f"no word of length <= {depth} (powers <= {power_cap}) maps the "
+        f"no word of length <= {depth} (powers <= {_PIVOT_POWERS}) maps the "
         "complement of V into U with clearance; either the system is not "
         "semidiscrete-irreducible or the search depth is too small"
     )
@@ -583,7 +583,7 @@ def gamma_lower_bound(
 # ---------------------------------------------------------------------------
 # Elliptic reduction.
 
-def projective_order(m: Matrix2, tol: float = _ORDER_TOL) -> int:
+def projective_order(m: Matrix2) -> int:
     """Order of the projective action of an elliptic or +/-identity matrix;
     raises when the rotation angle is not a rational multiple of pi with
     denominator <= 64."""
@@ -595,10 +595,10 @@ def projective_order(m: Matrix2, tol: float = _ORDER_TOL) -> int:
     half_trace = min(1.0, max(-1.0, m.trace / 2.0))
     angle = math.acos(half_trace)
     frac = Fraction(angle / PI).limit_denominator(_MAX_ELLIPTIC_ORDER)
-    if abs(angle / PI - float(frac)) > tol:
+    if abs(angle / PI - float(frac)) > _ORDER_TOL:
         raise InfiniteOrderEllipticError(
-            f"rotation angle {angle:.9f} is not within {tol:g} of a rational "
-            f"multiple of pi with denominator <= {_MAX_ELLIPTIC_ORDER}"
+            f"rotation angle {angle:.9f} is not within {_ORDER_TOL:g} of a "
+            f"rational multiple of pi with denominator <= {_MAX_ELLIPTIC_ORDER}"
         )
     return frac.denominator
 

@@ -15,6 +15,14 @@ import numpy as np
 
 _PALETTE = ("#1f4e8c", "#c0392b", "#1e8449", "#7d3c98", "#b7950b")
 
+#: Side of the square direction-circle picture and length of its ticks.
+_SIZE = 560
+_TICK_LEN = 14.0
+
+#: Size of a line plot.
+_WIDTH = 640
+_HEIGHT = 400
+
 
 def _fmt(x: float) -> str:
     return f"{x:.2f}"
@@ -22,8 +30,6 @@ def _fmt(x: float) -> str:
 
 def attractor_svg(
     points,
-    size: int = 560,
-    tick_len: float = 14.0,
     max_ticks: int = 4000,
     title: str | None = None,
 ) -> str:
@@ -36,16 +42,16 @@ def attractor_svg(
     if pts.size > max_ticks:
         idx = np.unique(np.linspace(0, pts.size - 1, max_ticks).astype(int))
         pts = pts[idx]
-    cx = cy = size / 2.0
-    radius = size * 0.42
+    cx = cy = _SIZE / 2.0
+    radius = _SIZE * 0.42
     out = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" '
-        f'height="{size}" viewBox="0 0 {size} {size}">',
-        f'<rect width="{size}" height="{size}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SIZE}" '
+        f'height="{_SIZE}" viewBox="0 0 {_SIZE} {_SIZE}">',
+        f'<rect width="{_SIZE}" height="{_SIZE}" fill="white"/>',
         f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="{_fmt(radius)}" '
         'fill="none" stroke="#999" stroke-width="1"/>',
     ]
-    half = tick_len / 2.0
+    half = _TICK_LEN / 2.0
     for theta in pts:
         phi = 2.0 * float(theta)
         ux, uy = math.cos(phi), -math.sin(phi)
@@ -57,7 +63,7 @@ def attractor_svg(
         )
     if title:
         out.append(
-            f'<text x="{_fmt(cx)}" y="{_fmt(size - 12.0)}" '
+            f'<text x="{_fmt(cx)}" y="{_fmt(_SIZE - 12.0)}" '
             f'text-anchor="middle" font-family="sans-serif" '
             f'font-size="13">{title}</text>'
         )
@@ -68,8 +74,6 @@ def attractor_svg(
 def line_plot_svg(
     xs: Sequence[float],
     series: Iterable[tuple[str, Sequence[float]]],
-    width: int = 640,
-    height: int = 400,
     x_label: str = "",
     y_label: str = "",
 ) -> str:
@@ -101,23 +105,23 @@ def line_plot_svg(
     ml, mr, mt, mb = 56, 16, 16, 44
 
     def px(x):
-        return ml + (x - x_lo) / (x_hi - x_lo) * (width - ml - mr)
+        return ml + (x - x_lo) / (x_hi - x_lo) * (_WIDTH - ml - mr)
 
     def py(y):
-        return height - mb - (y - y_lo) / (y_hi - y_lo) * (height - mt - mb)
+        return _HEIGHT - mb - (y - y_lo) / (y_hi - y_lo) * (_HEIGHT - mt - mb)
 
     out = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-        f'height="{height}" viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
-        f'<rect x="{ml}" y="{mt}" width="{width - ml - mr}" '
-        f'height="{height - mt - mb}" fill="none" stroke="#333" '
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" '
+        f'height="{_HEIGHT}" viewBox="0 0 {_WIDTH} {_HEIGHT}">',
+        f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
+        f'<rect x="{ml}" y="{mt}" width="{_WIDTH - ml - mr}" '
+        f'height="{_HEIGHT - mt - mb}" fill="none" stroke="#333" '
         'stroke-width="1"/>',
     ]
     for label, value, anchor, x, y in (
-        (x_label, None, "middle", (ml + width - mr) / 2.0, height - 8.0),
-        (f"{x_lo:g}", None, "middle", px(x_lo), height - mb + 16.0),
-        (f"{x_hi:g}", None, "middle", px(x_hi), height - mb + 16.0),
+        (x_label, None, "middle", (ml + _WIDTH - mr) / 2.0, _HEIGHT - 8.0),
+        (f"{x_lo:g}", None, "middle", px(x_lo), _HEIGHT - mb + 16.0),
+        (f"{x_hi:g}", None, "middle", px(x_hi), _HEIGHT - mb + 16.0),
         (f"{y_lo:.3g}", None, "end", ml - 6.0, py(y_lo) + 4.0),
         (f"{y_hi:.3g}", None, "end", ml - 6.0, py(y_hi) + 4.0),
     ):
@@ -128,9 +132,9 @@ def line_plot_svg(
             )
     if y_label:
         out.append(
-            f'<text x="14" y="{_fmt((mt + height - mb) / 2.0)}" '
+            f'<text x="14" y="{_fmt((mt + _HEIGHT - mb) / 2.0)}" '
             f'text-anchor="middle" font-family="sans-serif" font-size="12" '
-            f'transform="rotate(-90 14 {_fmt((mt + height - mb) / 2.0)})">'
+            f'transform="rotate(-90 14 {_fmt((mt + _HEIGHT - mb) / 2.0)})">'
             f"{y_label}</text>"
         )
     for i, (name, ys) in enumerate(series):
@@ -158,7 +162,7 @@ def line_plot_svg(
                     f'stroke="{color}" stroke-width="1.5"/>'
                 )
         out.append(
-            f'<text x="{width - mr - 6}" y="{mt + 18 + 16 * i}" '
+            f'<text x="{_WIDTH - mr - 6}" y="{mt + 18 + 16 * i}" '
             f'text-anchor="end" font-family="sans-serif" font-size="12" '
             f'fill="{color}">{name}</text>'
         )

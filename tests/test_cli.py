@@ -39,6 +39,33 @@ class TestExitCodes:
     def test_help_exits_zero(self):
         assert run_command(["--help"]) == 0
 
+    @pytest.mark.parametrize("command, config, option", [
+        ("classify", "positive_pair.cfg", ["--depth", "3"]),
+        ("scan-continuity", "family_hyperbolic_interior.cfg",
+         ["--norm", "max"]),
+        ("diophantine", "positive_pair.cfg", ["--tol", "1e-3"]),
+        ("certify-sd", "positive_pair.cfg", ["--norm", "max"]),
+        ("report", "positive_pair.cfg", ["--samples", "10"]),
+    ])
+    def test_option_the_command_ignores_is_rejected(
+        self, tmp_path, capsys, command, config, option
+    ):
+        argv = [command, "--config", cfg_path(config), *option,
+                "--out", str(tmp_path)]
+        assert run_command(argv) == 1
+        assert f"unrecognized arguments: {' '.join(option)}" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "manifest.json").exists()
+
+    def test_reduce_keeps_norm_and_seed(self, tmp_path):
+        assert run_command(
+            ["reduce", "--config", cfg_path("elliptic_mix.cfg"),
+             "--norm", "max", "--seed", "5", "--out", str(tmp_path)]
+        ) == 0
+        lines = (tmp_path / "reduced.cfg").read_text().splitlines()
+        assert "norm: max" in lines
+        assert "seed: 5" in lines
+
     def test_missing_config_file(self, tmp_path):
         argv = ["classify", "--config", str(tmp_path / "absent.cfg"),
                 "--out", str(tmp_path)]
@@ -166,6 +193,20 @@ class TestCsvContracts:
         assert rows[0]["word"] == "0"
         assert rows[2]["word"] == "0-0"
         assert rows[-1]["word"] == "1-1-1"
+
+    def test_enumerate_labels_match_table_words(self, tmp_path):
+        cfg = tmp_path / "three.cfg"
+        cfg.write_text("matrices:\n  2 1 1 1\n  1 1 1 2\n  1 1 0 1\n")
+        assert run_command(["enumerate", "--config", str(cfg),
+                            "--depth", "4", "--out", str(tmp_path)]) == 0
+        table = parse_config(cfg).table
+        expected = [
+            f"{n},{'-'.join(map(str, table.word(n, i)))},{norm!r}"
+            for n in range(1, 5)
+            for i, norm in enumerate(table.norms(n).tolist())
+        ]
+        lines = (tmp_path / "words.csv").read_text().splitlines()
+        assert lines == ["depth,word,norm"] + expected
 
     def test_furstenberg_summary(self, tmp_path):
         assert run_command(
