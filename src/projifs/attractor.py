@@ -27,10 +27,6 @@ from .geometry import (
 )
 from .semigroup import SystemConfig
 
-#: Orbit sampling always runs in this many independent seeded streams, so a
-#: cloud is reproducible bit for bit from its seed.
-_BATCHES = 16
-
 #: Fixed directions closer than this merge into one point of a cloud.
 _MERGE_TOL = 1e-12
 
@@ -86,14 +82,23 @@ def repeller_points_fixedpoint(cfg: SystemConfig, depth: int) -> PointCloud:
 # ---------------------------------------------------------------------------
 # Orbit sampling.
 
-def _orbit_batch(cfg, seed, batch, count, tol, max_iter):
-    """Sample count limit directions from one reproducible stream.
+def attractor_points_orbit(
+    cfg: SystemConfig,
+    samples: int,
+    seed: int | None = None,
+    tol: float = 1e-9,
+    max_iter: int = 3000,
+) -> PointCloud:
+    """Limit directions of random products drawn from the system's weights.
 
-    Every live lane advances together: each step draws one letter per live
-    lane and multiplies it onto the right of that lane's product P.  P is
-    kept as four entry arrays rescaled so that the largest entry has modulus
-    one, and the logs of the scales taken out are summed; every letter has
-    determinant one, so det P = exp(-2 * sum log scale) without cancellation.
+    Every sample is one lane, and all live lanes advance together: each step
+    draws one letter per live lane and multiplies it onto the right of that
+    lane's product P.  The letters come from one PCG64 stream seeded with
+    the master seed (seed, else cfg.seed), so the cloud is reproducible bit
+    for bit from its seed.  P is kept as four entry arrays rescaled so that
+    the largest entry has modulus one, and the logs of the scales taken out
+    are summed; every letter has determinant one, so
+    det P = exp(-2 * sum log scale) without cancellation.
 
     A lane stops at the first step where det P / |P|_F^2 < tol and returns
     the angle of P's larger column.  With singular values s1 >= s2 that
@@ -107,17 +112,20 @@ def _orbit_batch(cfg, seed, batch, count, tol, max_iter):
     sqrt(2) tol of the image of v1 itself and of directions near it.
 
     Finished lanes leave the live set, so a step costs only the lanes still
-    running.  Lanes still live after max_iter steps come back as NaN and
-    their number is the second return value.
+    running.  Lanes still live after max_iter steps are dropped and counted;
+    more than 1% of them is an error.
     """
-    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(batch,)))
+    if samples < 1:
+        raise ValueError("need at least one sample")
+    rng = np.random.default_rng(cfg.seed if seed is None else seed)
     cum = np.cumsum(cfg.weights())
     cum[-1] = 1.0
     letters = np.array([m.entries for m in cfg.matrices]).T
-    out = np.full(count, np.nan)
-    live = np.arange(count)
-    pa, pb, pc, pd = np.ones(count), np.zeros(count), np.zeros(count), np.ones(count)
-    log_scale = np.zeros(count)
+    out = np.full(samples, np.nan)
+    live = np.arange(samples)
+    pa, pb = np.ones(samples), np.zeros(samples)
+    pc, pd = np.zeros(samples), np.ones(samples)
+    log_scale = np.zeros(samples)
     for _ in range(max_iter):
         draws = np.searchsorted(cum, rng.random(live.size), side="right")
         a, b, c, d = letters[:, draws]
@@ -144,43 +152,14 @@ def _orbit_batch(cfg, seed, batch, count, tol, max_iter):
             break
         pa, pb, pc, pd = pa[keep], pb[keep], pc[keep], pd[keep]
         log_scale = log_scale[keep]
-    return out, int(live.size)
-
-
-def attractor_points_orbit(
-    cfg: SystemConfig,
-    samples: int,
-    seed: int | None = None,
-    tol: float = 1e-9,
-    max_iter: int = 3000,
-) -> PointCloud:
-    """Limit directions of random products drawn from the system's weights.
-
-    Sampling is split into a fixed number of seeded batches, so the cloud
-    depends only on the seed.  A sample is taken once its product's
-    singular-value ratio falls below tol (see `_orbit_batch` for the rule and
-    its angle-error bound).  Samples that fail to collapse within max_iter
-    steps are dropped; more than 1% of them is an error.
-    """
-    if samples < 1:
-        raise ValueError("need at least one sample")
-    master = cfg.seed if seed is None else seed
-    results = [
-        _orbit_batch(
-            cfg, master, b, samples // _BATCHES + (b < samples % _BATCHES),
-            tol, max_iter,
-        )
-        for b in range(min(samples, _BATCHES))
-    ]
-    pts = np.concatenate([r[0] for r in results])
-    dropped = sum(r[1] for r in results)
+    dropped = int(live.size)
     if dropped > 0.01 * samples:
         raise NonConvergenceError(
             f"{dropped} of {samples} orbits failed to converge within "
             f"{max_iter} steps at tol {tol:g}; the system may be too close "
             "to neutral, or needs a larger iteration budget"
         )
-    pts = np.sort(pts[~np.isnan(pts)])
+    pts = np.sort(out[~np.isnan(out)])
     return PointCloud(
         points=pts, method="orbit", samples=samples, dropped=dropped
     )
@@ -290,11 +269,12 @@ def box_dimension(cloud, eps_values=None) -> DimensionEstimate:
 # ---------------------------------------------------------------------------
 # Set-level diagnostics.
 
-def _directed_hausdorff(a: np.ndarray, b: np.ndarray) -> float:
+def _gaps_to(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Circular distance from each point of a to the nearest point of b;
+    both sorted."""
     ext = np.concatenate([[b[-1] - PI], b, [b[0] + PI]])
     idx = np.searchsorted(ext, a)
-    gaps = np.minimum(a - ext[idx - 1], ext[idx] - a)
-    return float(np.maximum(gaps, 0.0).max())
+    return np.maximum(np.minimum(a - ext[idx - 1], ext[idx] - a), 0.0)
 
 
 def hausdorff_circle(a, b) -> float:
@@ -303,14 +283,7 @@ def hausdorff_circle(a, b) -> float:
     b = np.sort(_as_points(b))
     if a.size == 0 or b.size == 0:
         raise ValueError("empty point cloud")
-    return max(_directed_hausdorff(a, b), _directed_hausdorff(b, a))
-
-
-def _min_cross_distance(a: np.ndarray, b: np.ndarray) -> float:
-    ext = np.concatenate([[b[-1] - PI], b, [b[0] + PI]])
-    idx = np.searchsorted(ext, a)
-    gaps = np.minimum(a - ext[idx - 1], ext[idx] - a)
-    return float(np.maximum(gaps, 0.0).min())
+    return float(max(_gaps_to(a, b).max(), _gaps_to(b, a).max()))
 
 
 @dataclass(frozen=True)
@@ -326,7 +299,7 @@ def separation_report(a, b) -> SeparationReport:
     b = np.sort(_as_points(b))
     if a.size == 0 or b.size == 0:
         raise ValueError("empty point cloud")
-    d = _min_cross_distance(a, b)
+    d = float(_gaps_to(a, b).min())
     return SeparationReport(
         min_distance=d, overlapping=d <= _OVERLAP_TOL, tol=_OVERLAP_TOL
     )

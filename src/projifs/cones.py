@@ -72,8 +72,9 @@ def _canon(arc: Arc) -> Arc:
 
 
 def _merge_arcs(arcs: list[Arc], gap_tol: float) -> list[Arc] | None:
-    """Union of arcs, gluing gaps up to gap_tol; None when the union is the
-    whole circle (or indistinguishable from it)."""
+    """Union of arcs, gluing gaps up to gap_tol and bridged to at most
+    _MAX_ARCS arcs; None when the union is the whole circle (or
+    indistinguishable from it)."""
     if not arcs:
         return []
     cs = sorted(_canon(a) for a in arcs)
@@ -100,27 +101,35 @@ def _merge_arcs(arcs: list[Arc], gap_tol: float) -> list[Arc] | None:
     out = sorted(_canon(a) for a in out)
     if math.fsum(hi - lo for lo, hi in out) >= PI - 1e-9:
         return None
-    return out
+    return _bridge_to_cap(out)
 
 
 def _bridge_to_cap(arcs: list[Arc], cap: int = _MAX_ARCS) -> list[Arc] | None:
-    """Bridge the smallest circular gaps until at most cap arcs remain."""
+    """Bridge the len(arcs) - cap smallest circular gaps, ties going to the
+    earlier arc, so at most cap arcs remain; None when the result is
+    indistinguishable from the circle.  A bridge leaves every other gap
+    unchanged, so these are the gaps that bridging the smallest one at a
+    time would pick."""
     arcs = sorted(arcs)
-    while len(arcs) > cap:
-        gaps = [
-            ccw_span(arcs[i][1], arcs[(i + 1) % len(arcs)][0])
-            for i in range(len(arcs))
-        ]
-        i = int(np.argmin(gaps))
-        j = (i + 1) % len(arcs)
-        lo = arcs[i][0]
-        merged = (lo, lo + (arcs[i][1] - arcs[i][0]) + gaps[i]
-                  + (arcs[j][1] - arcs[j][0]))
-        keep = [a for t, a in enumerate(arcs) if t not in (i, j)]
-        arcs = sorted(_canon(a) for a in keep + [merged])
-        if math.fsum(hi - lo for lo, hi in arcs) >= PI - 1e-6:
-            return None
-    return arcs
+    n = len(arcs)
+    if n <= cap:
+        return arcs
+    gaps = [ccw_span(arcs[i][1], arcs[(i + 1) % n][0]) for i in range(n)]
+    bridged = set(sorted(range(n), key=gaps.__getitem__)[: n - cap])
+    # start from an arc whose gap before it stays open
+    first = next(i for i in range(n) if (i - 1) % n not in bridged)
+    out: list[Arc] = []
+    for t in range(first, first + n):
+        i, prev = t % n, (t - 1) % n
+        lo, hi = arcs[i]
+        if prev in bridged:
+            out[-1] = (out[-1][0], out[-1][1] + gaps[prev] + (hi - lo))
+        else:
+            out.append((lo, hi))
+    out = sorted(_canon(a) for a in out)
+    if math.fsum(hi - lo for lo, hi in out) >= PI - 1e-6:
+        return None
+    return out
 
 
 @dataclass(frozen=True)
@@ -292,25 +301,10 @@ def _search_multicone(cfg: SystemConfig) -> ConeSearchResult:
     arcs = _merge_arcs([(t - radius, t + radius) for t in seeds], _MERGE_TOL)
     iterations = 0
     for iterations in range(1, _MAX_PASSES + 1):
-        if arcs is None:
-            return ConeSearchResult(
-                False, None, None, -math.inf, iterations,
-                ("closure filled the circle",),
-            )
-        arcs = _bridge_to_cap(arcs)
-        if arcs is None:
-            return ConeSearchResult(
-                False, None, None, -math.inf, iterations,
-                ("closure filled the circle",),
-            )
-        images = [a for m in cfg.matrices for a in (_map_arc(m, arc) for arc in arcs)]
-        new = _merge_arcs(arcs + images, _MERGE_TOL)
-        if new is None:
-            return ConeSearchResult(
-                False, None, None, -math.inf, iterations,
-                ("closure filled the circle",),
-            )
-        new = _bridge_to_cap(new)
+        new = None if arcs is None else _merge_arcs(
+            arcs + [_map_arc(m, arc) for m in cfg.matrices for arc in arcs],
+            _MERGE_TOL,
+        )
         if new is None:
             return ConeSearchResult(
                 False, None, None, -math.inf, iterations,

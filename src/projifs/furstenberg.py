@@ -5,9 +5,9 @@ the product to a probe direction gives, when the product collapses the
 circle, one draw from the stationary measure nu.  The samples here reuse the
 orbit driver of the attractor module, so they inherit its convergence rule
 (singular-value ratio of the product below tol, failures dropped and counted)
-and its seeding scheme: numpy's default PCG64 generator, one child stream per
-fixed batch, spawned from the master seed, which makes a sample reproducible
-bit for bit from its seed.
+and its seeding scheme: one stream of numpy's default PCG64 generator,
+seeded with the master seed, which makes a sample reproducible bit for bit
+from its seed.
 
 Stationarity is checked empirically on a fixed grid of 64 equal arcs by
 comparing the mass of each arc with the probability-weighted mass of its
