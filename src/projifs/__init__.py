@@ -54,7 +54,6 @@ from .errors import (
     ProjIFSError,
 )
 from .furstenberg import (
-    MeasureSample,
     SupportReport,
     sample_stationary,
     stationarity_residual,

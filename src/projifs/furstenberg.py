@@ -2,12 +2,12 @@
 
 Drawing letters i.i.d. from the configured probability vector and applying
 the product to a probe direction gives, when the product collapses the
-circle, one draw from the stationary measure nu.  The samples here reuse the
-orbit driver of the attractor module, so they inherit its convergence rule
-(singular-value ratio of the product below tol, failures dropped and counted)
-and its seeding scheme: one stream of numpy's default PCG64 generator,
-seeded with the master seed, which makes a sample reproducible bit for bit
-from its seed.
+circle, one draw from the stationary measure nu.  A sample is the
+`PointCloud` of the attractor module's orbit driver, so it inherits its
+convergence rule (singular-value ratio of the product below tol, failures
+dropped and counted) and its seeding scheme: one stream of numpy's default
+PCG64 generator, seeded with the master seed, which makes a sample
+reproducible bit for bit from its seed.
 
 Stationarity is checked empirically on a fixed grid of 64 equal arcs by
 comparing the mass of each arc with the probability-weighted mass of its
@@ -23,6 +23,7 @@ import numpy as np
 
 from .attractor import (
     DimensionEstimate,
+    PointCloud,
     _as_points,
     attractor_points_orbit,
     box_dimension,
@@ -36,52 +37,27 @@ _GRID = 64
 _SEAM = 1e-12
 
 
-@dataclass(frozen=True)
-class MeasureSample:
-    """Equal-weight draws from the stationary measure, sorted by angle.
-
-    Every point comes from a converged product evaluation; draws that failed
-    to collapse are counted in `dropped`, never silently kept.  The sample is
-    reproducible from `seed` alone (given the same config).
-    """
-
-    points: np.ndarray
-    seed: int
-    tol: float
-    requested: int
-    dropped: int = 0
-
-    def __len__(self) -> int:
-        return int(self.points.size)
-
-
 def sample_stationary(
     cfg: SystemConfig,
     samples: int,
     tol: float = 1e-9,
     seed: int | None = None,
-) -> MeasureSample:
+) -> PointCloud:
     """Draw `samples` points of the stationary measure for cfg.probs.
 
     The config must carry an explicit probability vector (the construction
     depends on it, and SystemConfig guarantees the entries are positive and
-    normalized).  Raises NonConvergenceError when more than 1% of the draws
-    fail to collapse within attractor_points_orbit's step budget.
+    normalized).  The points are sorted by angle and equally weighted; draws
+    that failed to collapse are counted in `dropped`, never kept.  Raises
+    NonConvergenceError when more than 1% of the draws fail to collapse
+    within attractor_points_orbit's step budget.
     """
     if cfg.probs is None:
         raise ValueError(
             "sampling the stationary measure needs an explicit probability "
             "vector; set probs on the config"
         )
-    cloud = attractor_points_orbit(cfg, samples, seed=seed, tol=tol)
-    master = cfg.seed if seed is None else seed
-    return MeasureSample(
-        points=cloud.points,
-        seed=master,
-        tol=tol,
-        requested=samples,
-        dropped=cloud.dropped,
-    )
+    return attractor_points_orbit(cfg, samples, seed=seed, tol=tol)
 
 
 def _count_ccw(pts: np.ndarray, a: float, b: float) -> int:

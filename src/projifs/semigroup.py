@@ -113,8 +113,8 @@ class SystemConfig:
 
     @cached_property
     def memo(self) -> dict:
-        """Results of costlier per-system searches, keyed by the search and
-        its arguments; like the table, freed together with the config."""
+        """Results of costlier per-system searches, keyed by the search;
+        like the table, freed together with the config."""
         return {}
 
     def inverse(self) -> SystemConfig:

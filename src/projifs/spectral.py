@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import OP2
+from .geometry import OP2, MatrixClass, classify
 from .semigroup import (
     SystemConfig,
     Word,
@@ -136,7 +136,6 @@ class Bracket:
     hi: float
     depth_used: int
     certified: bool
-    c_const: float | None
     notes: tuple[str, ...] = ()
 
     @property
@@ -178,12 +177,15 @@ def critical_exponent_bracket(
 ) -> Bracket:
     """Bracket the critical exponent by bisecting on pressure certificates.
 
-    With c_const: lo always satisfies a lower-pressure certificate (or is 0)
-    and hi an upper one (or +inf when even _S_MAX cannot be certified).
-    Without it there is no rigorous upper route; hi is then the zero of the
-    deepest finite-depth pressure estimate and the bracket is not certified.
-    A width above tol means the certificates themselves, not the bisection,
-    ran out of resolution at this depth.
+    Each endpoint is one predicate bisected on [0, _S_MAX] to tol/2.  lo is
+    the edge of the lower certificate lower(s) > 0, or 0 when s = 0 already
+    fails it.  hi is the edge of "not below": with c_const, not
+    upper(s) < 0, a certificate; without it, the deepest finite-depth
+    pressure estimate staying nonnegative, and the bracket is not
+    certified.  When the predicate still holds at _S_MAX, hi is +inf.  A
+    certified-route bracket with finite hi wider than tol gets a note: the
+    certificates themselves, not the bisection, ran out of resolution at
+    this depth.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
@@ -198,66 +200,43 @@ def critical_exponent_bracket(
             "max-entry norm: lower bounds carry the factor-2 split penalty "
             "and certification is reserved for the op2 norm"
         )
+    if c_const is None:
+        notes.append(
+            "upper endpoint is a finite-depth estimate; supply an "
+            "almost-multiplicativity constant for a certified bracket"
+        )
+
+        def not_below(s):
+            return probe.log_zeta(s, depth) / depth >= 0.0
+
+        unbounded = f"finite-depth pressure still positive at s_max={_S_MAX}"
+    else:
+
+        def not_below(s):
+            return not probe.upper(s, c_const) < 0.0
+
+        unbounded = (
+            f"no certified upper bound at or below s_max={_S_MAX}; "
+            "pressure upper bound stays nonnegative"
+        )
 
     def low_ok(s):
         return probe.lower(s) > 0.0
 
-    def refine_lower(hi_limit):
-        if not low_ok(0.0):
-            return 0.0
-        return _bisect_edge(low_ok, 0.0, hi_limit, tol / 2.0)[0]
-
-    if c_const is not None and probe.upper(_S_MAX, c_const) < 0.0:
-
-        def high_ok(s):
-            return probe.upper(s, c_const) < 0.0
-
-        lo, hi = 0.0, _S_MAX
-        lo_holds = low_ok(0.0)
-        while hi - lo > tol:
-            mid = 0.5 * (lo + hi)
-            if low_ok(mid):
-                lo, lo_holds = mid, True
-            elif high_ok(mid):
-                hi = mid
-            else:
-                # the certificate gap at this depth straddles mid; sharpen
-                # both edges separately and stop
-                if lo_holds:
-                    lo, _ = _bisect_edge(low_ok, lo, mid, tol / 4.0)
-                _, hi = _bisect_edge(lambda t: not high_ok(t), mid, hi, tol / 4.0)
-                notes.append(
-                    f"certificate gap wider than tol at depth {depth}; "
-                    "increase depth to narrow further"
-                )
-                break
-        certified = cfg.norm == OP2
-        return Bracket(lo, hi, depth, certified, c_const, tuple(notes))
-
-    if c_const is not None:
+    lo = 0.0
+    if low_ok(0.0):
+        lo = _bisect_edge(low_ok, 0.0, _S_MAX, tol / 2.0)[0]
+    if not_below(_S_MAX):
+        notes.append(unbounded)
+        return Bracket(lo, math.inf, depth, False, tuple(notes))
+    hi = max(_bisect_edge(not_below, 0.0, _S_MAX, tol / 2.0)[1], lo)
+    if c_const is not None and hi - lo > tol:
         notes.append(
-            f"no certified upper bound at or below s_max={_S_MAX}; "
-            "pressure upper bound stays nonnegative"
+            f"certificate gap wider than tol at depth {depth}; "
+            "increase depth to narrow further"
         )
-        return Bracket(
-            refine_lower(_S_MAX), math.inf, depth, False, c_const, tuple(notes)
-        )
-
-    # estimate-only upper route
-    notes.append(
-        "upper endpoint is a finite-depth estimate; supply an "
-        "almost-multiplicativity constant for a certified bracket"
-    )
-    lo = refine_lower(_S_MAX)
-
-    def est_pos(s):
-        return probe.log_zeta(s, depth) / depth >= 0.0
-
-    if est_pos(_S_MAX):
-        notes.append(f"finite-depth pressure still positive at s_max={_S_MAX}")
-        return Bracket(lo, math.inf, depth, False, None, tuple(notes))
-    hi = max(_bisect_edge(est_pos, 0.0, _S_MAX, tol / 2.0)[1], lo)
-    return Bracket(lo, hi, depth, False, None, tuple(notes))
+    certified = c_const is not None and cfg.norm == OP2
+    return Bracket(lo, hi, depth, certified, tuple(notes))
 
 
 # ---------------------------------------------------------------------------
@@ -296,9 +275,13 @@ def _accumulation_evidence(cfg: SystemConfig) -> bool:
     """True when distinct products pile up on each other within the scan
     budget, the finite-depth signature of a non-semidiscrete system."""
     if cfg.k == 1:
-        # powers of one matrix are cheap, and recurrence times of a generic
-        # rotation only show up around its deeper continued-fraction
-        # convergents, so scan well past the multi-letter budget
+        # only an elliptic letter's powers can accumulate: those of a
+        # hyperbolic or parabolic letter, or +-Id, are discrete.  Powers of
+        # one matrix are cheap, and recurrence times of a generic rotation
+        # only show up around its deeper continued-fraction convergents, so
+        # scan well past the multi-letter budget
+        if classify(cfg.matrices[0]) != MatrixClass.ELLIPTIC:
+            return False
         depth = 1024
     else:
         depth, pool = 1, cfg.k

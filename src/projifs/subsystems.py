@@ -55,7 +55,7 @@ from .geometry import (
     normalize_angle,
 )
 from .semigroup import SystemConfig, Word, common_fixed_points, word_product
-from .spectral import Bracket, critical_exponent_bracket
+from .spectral import Bracket, _bisect_edge, critical_exponent_bracket
 
 #: Chart slopes within this of one count as parabolic.
 _SLOPE_TOL = 1e-9
@@ -136,20 +136,13 @@ def _compose_chart(letters, word) -> tuple[float, float]:
 
 
 def _similarity_exponent(ratios) -> float:
-    def excess(s: float) -> float:
-        return math.fsum(r ** s for r in ratios) - 1.0
+    def above_one(s: float) -> bool:
+        return math.fsum(r ** s for r in ratios) > 1.0
 
-    lo, hi = 0.0, 1.0
-    while excess(hi) > 0.0 and hi < 64.0:
+    hi = 1.0
+    while above_one(hi) and hi < 64.0:
         hi *= 2.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if excess(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-12:
-            break
+    lo, hi = _bisect_edge(above_one, 0.0, hi, 1e-12)
     return 0.5 * (lo + hi)
 
 

@@ -248,6 +248,15 @@ class TestCsvContracts:
         assert "verdict:" in text
         assert (tmp_path / "report.csv").exists()
 
+    def test_report_on_single_hyperbolic_letter(self, tmp_path):
+        assert run_command(
+            ["report", "--config", cfg_path("single_scaling.cfg"),
+             "--out", str(tmp_path)]
+        ) == 0
+        row = read_rows(tmp_path / "report.csv")[0]
+        assert row["uh_status"] == "certified"
+        assert (tmp_path / "report.txt").exists()
+
 
     @pytest.mark.parametrize("name", ["positive_pair.cfg", "stern_brocot.cfg"])
     def test_pivot_cells_are_plain_numbers(self, tmp_path, name):

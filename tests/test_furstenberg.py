@@ -19,7 +19,6 @@ from projifs.attractor import (
     hausdorff_circle,
 )
 from projifs.furstenberg import (
-    MeasureSample,
     sample_stationary,
     stationarity_residual,
     support_dimension_report,
@@ -76,7 +75,7 @@ class TestSampleStationary:
         assert not np.array_equal(a.points, c.points)
 
     def test_sample_records_request(self, stern_sample):
-        assert stern_sample.requested == 10_000
+        assert stern_sample.samples == 10_000
         assert stern_sample.dropped == 0
         assert len(stern_sample) == 10_000
         # sorted, inside the fundamental interval
@@ -137,20 +136,12 @@ class TestStationarityResidual:
         pts = stern_sample.points.copy()
         n_bad = pts.size // 3
         pts[:n_bad] = rng.uniform(0.0, PI, size=n_bad)
-        corrupted = MeasureSample(
-            points=np.sort(pts),
-            seed=stern_sample.seed,
-            tol=stern_sample.tol,
-            requested=stern_sample.requested,
-        )
+        corrupted = np.sort(pts)
         assert stationarity_residual(corrupted, STERN_BROCOT) > clean
 
     def test_empty_sample_rejected(self):
-        empty = MeasureSample(
-            points=np.empty(0), seed=0, tol=1e-9, requested=0
-        )
         with pytest.raises(ValueError, match="empty"):
-            stationarity_residual(empty, STERN_BROCOT)
+            stationarity_residual(np.empty(0), STERN_BROCOT)
 
 
 class TestSupportDimensionReport:

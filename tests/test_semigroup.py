@@ -108,13 +108,6 @@ class TestProductTable:
         det = lev[:, 0, 0] * lev[:, 1, 1] - lev[:, 0, 1] * lev[:, 1, 0]
         assert np.max(np.abs(det - 1.0)) < 1e-12
 
-    def test_thread_count_does_not_change_bits(self, monkeypatch):
-        monkeypatch.setenv("PROJIFS_THREADS", "1")
-        lev1 = ProductTable(PAIR).level(8)
-        monkeypatch.setenv("PROJIFS_THREADS", "4")
-        lev4 = ProductTable(PAIR).level(8)
-        assert np.array_equal(lev1, lev4)
-
 
 class TestMetric:
     def test_diag_distance_exact(self):

@@ -24,6 +24,9 @@ POSITIVE_PAIR = SystemConfig(
 )
 SHEAR_PAIR = SystemConfig(matrices=(HALF_DIAG, SHEAR))
 
+#: Critical exponent of POSITIVE_PAIR, from its spectral determinant.
+POSITIVE_PAIR_DELTA = 0.3788192062
+
 
 def scale_pair_exponent(tol=1e-8):
     """Root of 4^-s + 9^-s = 1, the closed-form exponent of the scaling pair."""
@@ -113,6 +116,24 @@ class TestCriticalExponentBracket:
         br = critical_exponent_bracket(cfg, 6, c_const=1.0)
         assert not br.certified
 
+    def test_exact_constant_leaves_no_gap(self):
+        br = critical_exponent_bracket(SCALE_PAIR, 8, c_const=1.0)
+        assert not any("gap" in n for n in br.notes)
+
+    def test_loose_constant_notes_the_gap(self):
+        br = critical_exponent_bracket(POSITIVE_PAIR, 8, c_const=0.5)
+        assert br.certified
+        assert br.lo <= POSITIVE_PAIR_DELTA <= br.hi
+        assert br.width > 1e-4
+        assert any("certificate gap wider than tol" in n for n in br.notes)
+
+    def test_tiny_constant_certifies_no_upper_bound(self):
+        br = critical_exponent_bracket(POSITIVE_PAIR, 6, c_const=1e-6)
+        assert br.hi == math.inf
+        assert not br.certified
+        assert 0.0 < br.lo <= POSITIVE_PAIR_DELTA
+        assert any("no certified upper bound" in n for n in br.notes)
+
 
 class TestQuickLowerBounds:
     def test_positive_pair_has_none(self):
@@ -131,6 +152,18 @@ class TestQuickLowerBounds:
         assert any(
             b.value == math.inf and not b.certified for b in bounds
         )
+
+    def test_lone_hyperbolic_letter_has_no_bound(self):
+        # its powers overflow long before any scan depth would end
+        assert quick_lower_bounds(SystemConfig(matrices=(DIAG2,))) == ()
+
+    @pytest.mark.parametrize("letter", [
+        Matrix2(-1.0001, 0.0, 0.0, -1.0 / 1.0001),
+        Matrix2(-1.0, 1e-5, 0.0, -1.0),
+    ])
+    def test_sign_flipping_letter_does_not_accumulate(self, letter):
+        bounds = quick_lower_bounds(SystemConfig(matrices=(letter,)))
+        assert all(b.reason != "accumulation-evidence" for b in bounds)
 
     def test_scale_pair_clean(self):
         # hyperbolic, free, shared-fixed-point system: reduction is singleton
