@@ -10,10 +10,12 @@ crossing of P; bracketing P at probe points brackets delta.
 
 Every certified claim here is one-sided and per-probe: "lower(s) > 0" proves
 delta > s, "upper(s) < 0" proves delta < s, monotonicity nowhere assumed.
+Each decision is the sign fsum gives, from np.sum outside its rounding bound.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -81,7 +83,9 @@ def _check_c(c_const: float | None):
 
 
 class _PressureProbe:
-    """Caches per-level log-norms so repeated probes at new s are cheap."""
+    """Caches per-level log-norms so repeated probes at new s are cheap.
+    Every decision is the sign fsum gives, taken from np.sum outside its
+    rounding bound (see sign); written values (lower, upper) use fsum."""
 
     def __init__(self, cfg: SystemConfig, depth: int):
         self.depth = depth
@@ -90,8 +94,53 @@ class _PressureProbe:
         # costs 2s log2 per split in the lower bound
         self.split_penalty = _LOG2 if cfg.norm != OP2 else 0.0
 
-    def log_zeta(self, s: float, n: int) -> float:
-        return math.log(math.fsum(np.exp(-2.0 * s * self.log_norms[n - 1])))
+    def log_zeta(self, s: float, n: int, terms=None) -> float:
+        if terms is None:
+            terms = np.exp(-2.0 * s * self.log_norms[n - 1])
+        total = math.fsum(terms)
+        if total > 0.0:
+            return math.log(total)
+        # every weight underflowed: factor out the level's smallest norm
+        a = float(self.log_norms[n - 1].min())
+        rest = np.exp(-2.0 * s * (self.log_norms[n - 1] - a))
+        return -2.0 * s * a + math.log(math.fsum(rest))
+
+    def sign(self, s: float, n: int, c: float) -> int:
+        """Sign of (log_zeta(s, n) - c) / n, from np.sum where that is safe.
+
+        With S the np.sum of the level's N weights and eps = 2^-52 = 2u: any
+        order of adding nonnegative terms errs by at most (N - 1)u(1 + Nu)
+        times their exact sum (Higham, Accuracy and Stability of Numerical
+        Algorithms, 4.2) and fsum rounds that sum correctly, so log S and
+        log fsum differ by at most Nu(1 + 2Nu); math.log adds at most one
+        ulp, eps|log|, to each.  That is about half the margin
+        (N + 4|log S|) eps, far more slack than the rounding of the margin
+        and of log S - c (whose sign is exact) takes.  Inside the margin, or
+        if every weight underflowed, fsum decides.
+        """
+        terms = np.exp(-2.0 * s * self.log_norms[n - 1])
+        total = float(np.sum(terms))
+        if total > 0.0:
+            log_total = math.log(total)
+            margin = (terms.size + 4.0 * abs(log_total)) * 2.0**-52
+            if abs(log_total - c) > margin:
+                return 1 if log_total > c else -1
+        value = (self.log_zeta(s, n, terms) - c) / n
+        return (value > 0.0) - (value < 0.0)
+
+    def lower_positive(self, s: float) -> bool:
+        """lower(s) > 0; the deepest level is the likeliest to be positive."""
+        c = 2.0 * s * self.split_penalty
+        return any(self.sign(s, m, c) > 0 for m in range(self.depth, 0, -1))
+
+    def upper_not_negative(self, s: float, c_const: float) -> bool:
+        """not upper(s, c_const) < 0."""
+        c = 2.0 * s * math.log(c_const)
+        return all(self.sign(s, m, c) >= 0 for m in range(1, self.depth + 1))
+
+    def estimate_not_negative(self, s: float) -> bool:
+        """The deepest finite-depth pressure estimate is nonnegative."""
+        return self.sign(s, self.depth, 0.0) >= 0
 
     def lower(self, s: float) -> float:
         return max(
@@ -177,15 +226,15 @@ def critical_exponent_bracket(
 ) -> Bracket:
     """Bracket the critical exponent by bisecting on pressure certificates.
 
-    Each endpoint is one predicate bisected on [0, _S_MAX] to tol/2.  lo is
-    the edge of the lower certificate lower(s) > 0, or 0 when s = 0 already
-    fails it.  hi is the edge of "not below": with c_const, not
-    upper(s) < 0, a certificate; without it, the deepest finite-depth
-    pressure estimate staying nonnegative, and the bracket is not
-    certified.  When the predicate still holds at _S_MAX, hi is +inf.  A
-    certified-route bracket with finite hi wider than tol gets a note: the
-    certificates themselves, not the bisection, ran out of resolution at
-    this depth.
+    Each endpoint is one predicate bisected on [0, _S_MAX] to tol/2; every
+    probe takes the sign fsum gives, from np.sum outside its rounding bound.
+    lo is the edge of lower(s) > 0, or 0 when s = 0 fails it.  hi is the
+    edge of "not below": with c_const, not upper(s) < 0, a certificate;
+    without it, the deepest finite-depth pressure estimate staying
+    nonnegative, and the bracket is not certified.  hi is +inf when the
+    predicate still holds at _S_MAX.  A certified-route bracket with finite
+    hi wider than tol gets a note: the certificates themselves, not the
+    bisection, ran out of resolution at this depth.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
@@ -205,27 +254,18 @@ def critical_exponent_bracket(
             "upper endpoint is a finite-depth estimate; supply an "
             "almost-multiplicativity constant for a certified bracket"
         )
-
-        def not_below(s):
-            return probe.log_zeta(s, depth) / depth >= 0.0
-
+        not_below = probe.estimate_not_negative
         unbounded = f"finite-depth pressure still positive at s_max={_S_MAX}"
     else:
-
-        def not_below(s):
-            return not probe.upper(s, c_const) < 0.0
-
+        not_below = functools.partial(probe.upper_not_negative, c_const=c_const)
         unbounded = (
             f"no certified upper bound at or below s_max={_S_MAX}; "
             "pressure upper bound stays nonnegative"
         )
 
-    def low_ok(s):
-        return probe.lower(s) > 0.0
-
     lo = 0.0
-    if low_ok(0.0):
-        lo = _bisect_edge(low_ok, 0.0, _S_MAX, tol / 2.0)[0]
+    if probe.lower_positive(0.0):
+        lo = _bisect_edge(probe.lower_positive, 0.0, _S_MAX, tol / 2.0)[0]
     if not_below(_S_MAX):
         notes.append(unbounded)
         return Bracket(lo, math.inf, depth, False, tuple(notes))

@@ -257,6 +257,25 @@ class TestCsvContracts:
         assert row["uh_status"] == "certified"
         assert (tmp_path / "report.txt").exists()
 
+    @pytest.mark.parametrize("command, option", [
+        ("critexp", ["--depth", "12"]),
+        ("dimension", ["--depth", "12"]),
+        ("report", ["--depth", "12"]),
+        ("pressure", ["--s", "5", "--depth", "12"]),
+    ])
+    def test_level_whose_weights_all_underflow(self, tmp_path, command, option):
+        # every level-12 norm is at least about 2e32, so at s = 5 each
+        # level-12 weight underflows to 0
+        cfg = tmp_path / "steep.cfg"
+        cfg.write_text("matrices:\n  1000 0 0 0.001\n  500 1 0 0.002\n")
+        out = tmp_path / "out"
+        assert run_command(
+            [command, "--config", str(cfg), *option, "--out", str(out)]
+        ) == 0
+        if command == "pressure":
+            row = read_rows(out / "pressure.csv")[0]
+            assert math.isfinite(float(row["lower"]))
+
 
     @pytest.mark.parametrize("name", ["positive_pair.cfg", "stern_brocot.cfg"])
     def test_pivot_cells_are_plain_numbers(self, tmp_path, name):

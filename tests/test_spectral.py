@@ -1,8 +1,13 @@
+import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from projifs import spectral
+from projifs.config import parse_config
 from projifs.geometry import Matrix2
 from projifs.semigroup import SystemConfig
 from projifs.spectral import (
@@ -26,6 +31,17 @@ SHEAR_PAIR = SystemConfig(matrices=(HALF_DIAG, SHEAR))
 
 #: Critical exponent of POSITIVE_PAIR, from its spectral determinant.
 POSITIVE_PAIR_DELTA = 0.3788192062
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+BUNDLED = sorted(
+    p.name for p in CONFIGS.glob("*.cfg") if not p.name.startswith("family_")
+)
+
+#: Every level-12 norm is at least about 2e32, so at s = 5 every level-12
+#: weight underflows to 0.
+UNDERFLOW_PAIR = SystemConfig(
+    matrices=(Matrix2(1000.0, 0.0, 0.0, 0.001), Matrix2(500.0, 1.0, 0.0, 0.002))
+)
 
 
 def scale_pair_exponent(tol=1e-8):
@@ -170,3 +186,142 @@ class TestQuickLowerBounds:
         # or uniformly hyperbolic, so no structural bound applies
         bounds = quick_lower_bounds(SCALE_PAIR)
         assert all(b.value < 1.0 for b in bounds)
+
+
+class _ReferenceProbe(spectral._PressureProbe):
+    """The per-probe fsum predicates that _PressureProbe.sign replaced, kept
+    verbatim as its reference."""
+
+    def log_zeta(self, s, n):
+        return math.log(math.fsum(np.exp(-2.0 * s * self.log_norms[n - 1])))
+
+    def lower_positive(self, s):
+        return max(
+            (self.log_zeta(s, m) - 2.0 * s * self.split_penalty) / m
+            for m in range(1, self.depth + 1)
+        ) > 0.0
+
+    def upper_not_negative(self, s, c_const):
+        pen = -2.0 * s * math.log(c_const)
+        return not min(
+            (self.log_zeta(s, m) + pen) / m for m in range(1, self.depth + 1)
+        ) < 0.0
+
+    def estimate_not_negative(self, s):
+        return self.log_zeta(s, self.depth) / self.depth >= 0.0
+
+
+def _reference_sign(probe, s, n, c):
+    value = (_ReferenceProbe.log_zeta(probe, s, n) - c) / n
+    return (value > 0.0) - (value < 0.0)
+
+
+def _probe_of(levels, split_penalty=0.0):
+    """A probe over the given per-level log-norm stacks, with no table."""
+    probe = object.__new__(spectral._PressureProbe)
+    probe.depth = len(levels)
+    probe.log_norms = [np.asarray(lev, dtype=float) for lev in levels]
+    probe.split_penalty = split_penalty
+    return probe
+
+
+def _weights_probe(weights):
+    """A one-level probe whose weights at s = 1/2 are about `weights`."""
+    probe = _probe_of([-np.log(np.asarray(weights))])
+    terms = np.exp(-probe.log_norms[0])
+    rough, exact = float(np.sum(terms)), math.fsum(terms)
+    assert rough != exact, "not a boundary case on this numpy"
+    return probe, math.log(rough), math.log(exact)
+
+
+class TestPressureSign:
+    def test_fsum_decides_when_np_sum_rounds_down(self):
+        # 1 + x + x with x below half an ulp of 1: np.sum stays at 1,
+        # fsum rounds 1 + 2x up to 1 + 2^-52
+        x = 0.75 * 2.0**-53
+        probe, rough, exact = _weights_probe([1.0, x, x])
+        assert rough < exact
+        c = 0.5 * (rough + exact)
+        assert probe.sign(0.5, 1, c) == _reference_sign(probe, 0.5, 1, c) == 1
+
+    def test_fsum_decides_when_np_sum_rounds_up(self):
+        # x just above half an ulp: each step of np.sum rounds up, while
+        # fsum rounds 1 + 2x down to 1 + 2^-52
+        x = 1.25 * 2.0**-53
+        probe, rough, exact = _weights_probe([1.0, x, x])
+        assert rough > exact
+        c = 0.5 * (rough + exact)
+        assert probe.sign(0.5, 1, c) == _reference_sign(probe, 0.5, 1, c) == -1
+
+    def test_zero_pressure_at_s_zero(self):
+        cfg = parse_config(CONFIGS / "single_scaling.cfg")
+        probe = spectral._PressureProbe(cfg, 6)
+        for n in range(1, 7):
+            assert probe.sign(0.0, n, 0.0) == 0
+        assert probe.estimate_not_negative(0.0)
+        assert probe.upper_not_negative(0.0, 0.5)
+        assert not probe.lower_positive(0.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.floats(-1.0, 40.0), min_size=1, max_size=200),
+        st.floats(0.0, 5.0),
+        st.integers(1, 12),
+        st.sampled_from(["exact", "rough", "middle", "zero"]),
+        st.integers(-3, 3),
+    )
+    def test_sign_is_the_fsum_sign(self, log_norms, s, n, anchor, ulps):
+        probe = _probe_of([log_norms] * n)
+        terms = np.exp(-2.0 * s * probe.log_norms[0])
+        exact = math.log(math.fsum(terms))
+        rough = math.log(float(np.sum(terms)))
+        c = {"exact": exact, "rough": rough, "middle": 0.5 * (exact + rough),
+             "zero": 0.0}[anchor]
+        c += ulps * math.ulp(c)
+        assert probe.sign(s, n, c) == _reference_sign(probe, s, n, c)
+
+    def test_underflowed_level_keeps_a_finite_log(self):
+        probe = spectral._PressureProbe(UNDERFLOW_PAIR, 12)
+        levels = probe.log_norms[11]
+        assert not np.exp(-10.0 * levels).any()
+        want = float(np.logaddexp.reduce(-10.0 * levels))
+        assert probe.log_zeta(5.0, 12) == pytest.approx(want, rel=1e-12)
+        assert probe.sign(5.0, 12, 0.0) == -1
+        assert probe.sign(5.0, 12, 2.0 * want) == 1
+        ev = pressure_bracket(UNDERFLOW_PAIR, 5.0, 12)
+        assert math.isfinite(ev.lower)
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_bracket_matches_fsum_reference(name, monkeypatch):
+    base = parse_config(CONFIGS / name)
+    for norm in ("op2", "max"):
+        cfg = dataclasses.replace(base, norm=norm)
+        probe = spectral._PressureProbe(cfg, 10)
+        ref = _ReferenceProbe(cfg, 10)
+        for s in (0.0, 0.25, 0.5, 1.0, 2.0, 5.0):
+            for pred, args in (("lower_positive", ()),
+                               ("estimate_not_negative", ()),
+                               ("upper_not_negative", (0.5,))):
+                got = getattr(probe, pred)(s, *args)
+                assert got == getattr(ref, pred)(s, *args), (pred, s)
+        for depth in (6, 8, 10):
+            for tol in (1e-4, 1e-6):
+                got = critical_exponent_bracket(cfg, depth, tol=tol)
+                with monkeypatch.context() as m:
+                    m.setattr(spectral, "_PressureProbe", _ReferenceProbe)
+                    want = critical_exponent_bracket(cfg, depth, tol=tol)
+                assert repr(got) == repr(want)
+
+
+@pytest.mark.parametrize("name", ["positive_pair.cfg", "stern_brocot.cfg"])
+def test_certified_bracket_matches_fsum_reference(name, monkeypatch):
+    base = parse_config(CONFIGS / name)
+    for norm in ("op2", "max"):
+        cfg = dataclasses.replace(base, norm=norm)
+        for c_const in (1.0, 0.5, 0.05, 1e-3):
+            got = critical_exponent_bracket(cfg, 10, c_const=c_const)
+            with monkeypatch.context() as m:
+                m.setattr(spectral, "_PressureProbe", _ReferenceProbe)
+                want = critical_exponent_bracket(cfg, 10, c_const=c_const)
+            assert repr(got) == repr(want)
