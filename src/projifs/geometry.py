@@ -303,19 +303,23 @@ def attracting_directions_array(arr: np.ndarray) -> np.ndarray:
     """Attracting fixed directions of the hyperbolic matrices in a det-one
     stack and neutral ones of the parabolic matrices, in stack order; the
     vector counterpart of `fixed_points`, classified with the same CLASS_TOL.
-    Elliptic and +-identity matrices contribute nothing."""
+    Elliptic and +-identity matrices contribute nothing.  +-I has |tr| = 2,
+    so the +-identity test runs only on the near-parabolic rows."""
     a = arr[:, 0, 0]
     b = arr[:, 0, 1]
     c = arr[:, 1, 0]
     d = arr[:, 1, 1]
     tr = a + d
+    hyp = np.abs(tr) > 2.0 + CLASS_TOL
+    par = np.abs(np.abs(tr) - 2.0) <= CLASS_TOL
+    near = np.flatnonzero(par)
+    sub = arr[near]
     eye = np.eye(2)
     pm_id = (
-        (np.abs(arr - eye).max(axis=(1, 2)) <= CLASS_TOL)
-        | (np.abs(arr + eye).max(axis=(1, 2)) <= CLASS_TOL)
+        (np.abs(sub - eye).max(axis=(1, 2)) <= CLASS_TOL)
+        | (np.abs(sub + eye).max(axis=(1, 2)) <= CLASS_TOL)
     )
-    hyp = np.abs(tr) > 2.0 + CLASS_TOL
-    par = (np.abs(np.abs(tr) - 2.0) <= CLASS_TOL) & ~pm_id
+    par[near[pm_id]] = False
     sel = hyp | par
     if not sel.any():
         return np.empty(0)

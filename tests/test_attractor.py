@@ -8,11 +8,15 @@ log 2 / log 3 to rounding error.
 
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from projifs import attractor
 from projifs.attractor import (
+    DimensionEstimate,
     PointCloud,
     attractor_points_fixedpoint,
     attractor_points_orbit,
@@ -23,6 +27,7 @@ from projifs.attractor import (
     repeller_points_orbit,
     separation_report,
 )
+from projifs.config import parse_config, parse_family
 from projifs.errors import NonConvergenceError
 from projifs.geometry import PI, Matrix2, circ_dist, normalize_angle
 from projifs.semigroup import SystemConfig
@@ -222,6 +227,166 @@ class TestBoxDimension:
         with pytest.raises(ValueError, match="empty"):
             box_dimension(np.empty(0))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_point_raises(self, bad):
+        cloud = np.append(np.linspace(1.5, 3.0, 30000), [bad, bad])
+        with pytest.raises(ValueError, match="2 non-finite points"):
+            box_dimension(cloud)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -0.01])
+    def test_bad_box_size_raises(self, bad):
+        eps = [PI / 2.0 ** k for k in range(3, 15)] + [bad]
+        with pytest.raises(ValueError, match="finite and positive"):
+            box_dimension(np.linspace(1.5, 3.0, 30000), eps_values=eps)
+
+
+def _reference_box_dimension(cloud, eps_values=None):
+    """The per-scale np.unique count that box_dimension replaced, kept as its
+    reference."""
+    pts = attractor._as_points(cloud)
+    if pts.size == 0:
+        raise ValueError("empty point cloud")
+    if eps_values is None:
+        eps_values = [PI / 2.0 ** k for k in range(3, 15)]
+    folded = np.mod(pts, PI)
+    finest = min(eps_values)
+    if len(np.unique(np.floor(folded / finest).astype(np.int64))) < 10:
+        return DimensionEstimate(
+            value=0.0,
+            stderr=0.0,
+            scales=(),
+            counts=(),
+            dropped_scales=tuple(sorted(eps_values, reverse=True)),
+            notes=(
+                "fewer than 10 occupied boxes at the finest scale; "
+                "the cloud is effectively finite",
+            ),
+        )
+    rows, dropped = [], []
+    for e in sorted(eps_values, reverse=True):
+        n_boxes = len(np.unique(np.floor(folded / e).astype(np.int64)))
+        total = math.ceil(PI / e)
+        if n_boxes >= 0.95 * total or n_boxes < 10:
+            dropped.append(e)
+            continue
+        rows.append((e, n_boxes))
+    unresolved = [e for e, n in rows if 8 * n > pts.size]
+    n_shed = min(len(unresolved), max(len(rows) - attractor._MIN_SCALES, 0))
+    if n_shed:
+        victims = set(unresolved[-n_shed:])
+        dropped.extend(e for e, _ in rows if e in victims)
+        rows = [(e, n) for e, n in rows if e not in victims]
+    kept = [e for e, _ in rows]
+    counts = [n for _, n in rows]
+    if len(kept) < attractor._MIN_SCALES:
+        raise ValueError(
+            f"only {len(kept)} usable scales (need {attractor._MIN_SCALES}); "
+            "the cloud is too sparse or too dense for this range of box sizes"
+        )
+    x = np.log(1.0 / np.asarray(kept))
+    y = np.log(np.asarray(counts, dtype=float))
+    slope, intercept = np.polyfit(x, y, 1)
+    resid = y - (slope * x + intercept)
+    dof = len(kept) - 2
+    var = float(resid @ resid) / dof if dof > 0 else 0.0
+    sx = float(((x - x.mean()) ** 2).sum())
+    stderr = math.sqrt(var / sx) if sx > 0 else math.inf
+    notes = []
+    if n_shed:
+        notes.append(f"{n_shed} scales finer than the cloud resolves were dropped")
+    value = float(slope)
+    if value < 0.0 or value > 1.0:
+        notes.append(f"raw slope {value:.4f} clamped into [0, 1]")
+        value = min(1.0, max(0.0, value))
+    return DimensionEstimate(
+        value=value,
+        stderr=stderr,
+        scales=tuple(kept),
+        counts=tuple(counts),
+        dropped_scales=tuple(dropped),
+        notes=tuple(notes),
+    )
+
+
+def _outcome(fn, cloud, eps_values=None):
+    try:
+        return repr(fn(cloud, eps_values))
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+#: Points on or next to the ends of (0, pi], where folding and the box
+#: index are most easily off by one.
+_EDGE_POINTS = (
+    PI, np.nextafter(PI, 0.0), np.nextafter(PI, 4.0), 0.0, 5e-324, 1e-300,
+    1e-17, -1e-20, -PI, 2.0 * PI,
+)
+
+
+@st.composite
+def _box_clouds(draw):
+    """Unsorted clouds with duplicates and edge points: uniform, clustered, or
+    on a dyadic grid whose points sit exactly on default box edges."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 3000))
+    kind = draw(st.sampled_from(("uniform", "clustered", "grid")))
+    if kind == "uniform":
+        pts = rng.uniform(0.0, PI, n)
+    elif kind == "clustered":
+        centers = rng.uniform(0.0, PI, draw(st.integers(1, 40)))
+        spread = draw(st.floats(1e-7, 1e-2))
+        pts = centers[rng.integers(centers.size, size=n)] + rng.normal(0.0, spread, n)
+    else:
+        k = draw(st.integers(3, 16))
+        pts = rng.integers(0, 2**k + 1, n) * (PI / 2.0**k)
+    pts = np.concatenate([
+        pts,
+        pts[rng.integers(n, size=draw(st.integers(0, n)))],
+        draw(st.lists(st.sampled_from(_EDGE_POINTS), max_size=6)),
+    ])
+    rng.shuffle(pts)
+    return pts
+
+
+_BOX_SIZES = st.one_of(
+    st.none(),
+    st.lists(st.floats(1e-5, 4.0), min_size=1, max_size=14),
+    st.builds(
+        lambda base, ks: [base * 2.0 ** -k for k in ks],
+        st.floats(0.05, 4.0),
+        st.lists(st.integers(0, 16), min_size=1, max_size=14, unique=True),
+    ),
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(_box_clouds(), _BOX_SIZES)
+def test_box_counts_match_unique_reference(cloud, eps_values):
+    assert _outcome(box_dimension, cloud, eps_values) == _outcome(
+        _reference_box_dimension, cloud, eps_values
+    )
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+def _depth10_systems():
+    plain = sorted(
+        p for p in CONFIGS.glob("*.cfg") if not p.stem.startswith("family_")
+    )
+    out = [(p.stem, parse_config(p)) for p in plain]
+    for name in ("family_identity_limit", "family_hyperbolic_interior"):
+        family = parse_family(CONFIGS / f"{name}.cfg")
+        out += [(f"{name}-{t!r}", family.at(t)) for t in family.grid]
+    return out
+
+
+def test_box_dimension_matches_reference_on_depth10_clouds():
+    for name, cfg in _depth10_systems():
+        cloud = attractor_points_fixedpoint(cfg, 10)
+        got = _outcome(box_dimension, cloud)
+        assert got == _outcome(_reference_box_dimension, cloud), name
+
 
 class TestDiagnostics:
     def test_hausdorff_identical_sets(self):
@@ -238,6 +403,16 @@ class TestDiagnostics:
 
     def test_hausdorff_is_directed_max(self):
         assert hausdorff_circle([1.0, 2.0], [2.0]) == pytest.approx(1.0, abs=1e-12)
+
+    def test_hausdorff_rejects_non_finite_points(self):
+        with pytest.raises(ValueError, match="1 non-finite points"):
+            hausdorff_circle([1.0, math.nan, 2.0], [1.5])
+        with pytest.raises(ValueError, match="1 non-finite points"):
+            hausdorff_circle([1.0], [math.inf])
+
+    def test_separation_rejects_non_finite_points(self):
+        with pytest.raises(ValueError, match="2 non-finite points"):
+            separation_report([math.nan, 1.0, -math.inf], [2.0])
 
     def test_hausdorff_accepts_clouds(self):
         cloud = PointCloud(points=np.array([1.0]), method="fixed-point")

@@ -1,21 +1,26 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
 from conftest import random_sl2, sl2_matrices
+from projifs.config import parse_config, parse_family
 from projifs.errors import DegenerateDirectionsError, DegenerateMatrixError
 from projifs.geometry import (
+    CLASS_TOL,
     IDENTITY2,
     PI,
     FixedPointData,
     Matrix2,
     MatrixClass,
+    attracting_directions_array,
     circ_dist,
     classify,
     fixed_points,
     normalize_angle,
+    normalize_angles_array,
     op_norm,
     op_norms_array,
     proj_act,
@@ -266,6 +271,112 @@ class TestArrayHelpers:
             ns = op_norms_array(arr, kind)
             for m, n in zip(ms, ns):
                 assert n == pytest.approx(op_norm(m, kind), rel=1e-12)
+
+
+def _reference_attracting_directions(arr):
+    """The whole-stack +-I test that attracting_directions_array replaced,
+    kept as its reference."""
+    a = arr[:, 0, 0]
+    b = arr[:, 0, 1]
+    c = arr[:, 1, 0]
+    d = arr[:, 1, 1]
+    tr = a + d
+    eye = np.eye(2)
+    pm_id = (
+        (np.abs(arr - eye).max(axis=(1, 2)) <= CLASS_TOL)
+        | (np.abs(arr + eye).max(axis=(1, 2)) <= CLASS_TOL)
+    )
+    hyp = np.abs(tr) > 2.0 + CLASS_TOL
+    par = (np.abs(np.abs(tr) - 2.0) <= CLASS_TOL) & ~pm_id
+    sel = hyp | par
+    if not sel.any():
+        return np.empty(0)
+    disc = np.sqrt(np.maximum(tr * tr - 4.0, 0.0))
+    lam = 0.5 * (tr + np.sign(tr) * disc)
+    v1x, v1y = b, lam - a
+    v2x, v2y = lam - d, c
+    use1 = v1x * v1x + v1y * v1y >= v2x * v2x + v2y * v2y
+    vx = np.where(use1, v1x, v2x)
+    vy = np.where(use1, v1y, v2y)
+    return normalize_angles_array(np.arctan2(vy[sel], vx[sel]))
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+def _direction_systems():
+    plain = sorted(
+        p for p in CONFIGS.glob("*.cfg") if not p.stem.startswith("family_")
+    )
+    out = [pytest.param(parse_config(p), id=p.stem) for p in plain]
+    # at t = 0 both shears are the identity, so the +-I branch runs
+    limit = parse_family(CONFIGS / "family_identity_limit.cfg")
+    out += [
+        pytest.param(limit.at(t), id=f"identity_limit-{t}")
+        for t in (0.0, 0.02, 0.5)
+    ]
+    return out
+
+
+@pytest.mark.parametrize("cfg", _direction_systems())
+def test_attracting_directions_match_reference_on_levels(cfg):
+    for n in range(1, 11):
+        lev = cfg.table.level(n)
+        got = attracting_directions_array(lev)
+        assert got.tobytes() == _reference_attracting_directions(lev).tobytes(), n
+
+
+def _near_parabolic(e, sign=1.0):
+    """[[1 + e, 1], [e, 1]]: determinant one and trace 2 + e."""
+    return sign * np.array([[1.0 + e, 1.0], [e, 1.0]])
+
+
+def _edge_stack():
+    eye = np.eye(2)
+    r = 1e-10
+    rows = [
+        eye, -eye,
+        eye + [[0.0, r], [0.0, 0.0]], eye - [[0.0, 0.0], [r, 0.0]],
+        np.diag([1.0 + r, 1.0 / (1.0 + r)]), np.diag([1.0 - r, 1.0 / (1.0 - r)]),
+        -eye + [[0.0, r], [0.0, 0.0]], -np.diag([1.0 + r, 1.0 / (1.0 + r)]),
+        # off-diagonal entry past CLASS_TOL: parabolic, not the identity
+        eye + [[0.0, 1e-8], [0.0, 0.0]],
+        SHEAR.array, -SHEAR.array, LOWER_SHEAR.array, -LOWER_SHEAR.array,
+        Matrix2(1.0, -1.0, 0.0, 1.0).array,
+        rotation(0.7).array, ROT90.array, DIAG2.array, -DIAG2.array,
+        Matrix2(2.0, 1.0, 1.0, 1.0).array,
+    ]
+    for e in (0.99 * CLASS_TOL, 1.01 * CLASS_TOL):
+        for sign in (1.0, -1.0):
+            rows += [_near_parabolic(e, sign), _near_parabolic(-e, sign)]
+    return np.stack(rows)
+
+
+def test_attracting_directions_match_reference_on_edge_stack():
+    arr = _edge_stack()
+    got = attracting_directions_array(arr)
+    assert got.tobytes() == _reference_attracting_directions(arr).tobytes()
+    for i in range(len(arr)):
+        row = arr[i : i + 1]
+        assert (
+            attracting_directions_array(row).tobytes()
+            == _reference_attracting_directions(row).tobytes()
+        ), i
+
+
+def test_attracting_directions_select_the_rows_fixed_points_does():
+    kept = (MatrixClass.HYPERBOLIC, MatrixClass.PARABOLIC)
+    arr = _edge_stack()
+    kinds = []
+    for row in arr:
+        m = Matrix2(*row.ravel())
+        assert m.entries == tuple(row.ravel())  # det one: no renormalization
+        kinds.append(fixed_points(m).kind)
+    assert MatrixClass.IDENTITY in kinds and MatrixClass.ELLIPTIC in kinds
+    for row, kind in zip(arr, kinds):
+        assert attracting_directions_array(row[None]).size == (kind in kept), (
+            row, kind
+        )
 
 
 @given(sl2_matrices())
