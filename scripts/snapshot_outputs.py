@@ -11,10 +11,11 @@ so `report.txt` reads the same in any checkout.  The runs are
 - `--norm max` for the commands that read the norm;
 - `--samples 2000 --seed 7` for the sampling commands.
 
-Each run writes its outputs, and its stdout as `stdout.txt`, to
-`OUT/<command>/<config>/` (a variant run to `OUT/<command>/<config>.<variant>/`),
-and `OUT/exit_codes.csv` lists every run's exit code.  Two snapshots have the
-same outputs when `diff -r -x manifest.json A B` prints nothing.
+Each run writes its outputs, its stdout as `stdout.txt` and its stderr
+(error reasons) as `stderr.txt`, to `OUT/<command>/<config>/` (a variant run
+to `OUT/<command>/<config>.<variant>/`), and `OUT/exit_codes.csv` lists every
+run's exit code.  Two snapshots have the same outputs when
+`diff -r -x manifest.json A B` prints nothing.
 """
 
 from __future__ import annotations
@@ -72,11 +73,13 @@ def main(argv=None) -> int:
         name = path.stem + (f".{variant}" if variant else "")
         run_dir = out / command / name
         run_dir.mkdir(parents=True, exist_ok=True)
-        stdout = io.StringIO()
-        with contextlib.redirect_stdout(stdout):
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), \
+                contextlib.redirect_stderr(stderr):
             code = run_command([command, "--config", path.as_posix(), *extra,
                                 "--out", str(run_dir)])
         (run_dir / "stdout.txt").write_text(stdout.getvalue(), encoding="utf-8")
+        (run_dir / "stderr.txt").write_text(stderr.getvalue(), encoding="utf-8")
         rows.append((command, path.stem, variant, code))
         print(f"{command} {name}: exit {code}")
     with open(out / "exit_codes.csv", "w", encoding="utf-8", newline="") as fh:

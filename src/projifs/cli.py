@@ -74,7 +74,8 @@ from .furstenberg import (
     support_dimension_report,
 )
 from .geometry import MatrixClass, classify
-from .semigroup import common_fixed_points, diophantine_profile
+from .semigroup import (common_fixed_points, diophantine_profile,
+                        first_collision_depth)
 from .spectral import critical_exponent_bracket, quick_lower_bounds
 from .subsystems import (
     elliptic_reduction,
@@ -259,12 +260,17 @@ def _cmd_pressure(args, run: _Run) -> int:
 def _cmd_critexp(args, run: _Run) -> int:
     cfg = _load_config(args, args.depth)
     bracket = critical_exponent_bracket(cfg, depth=args.depth, tol=args.tol)
+    collision = first_collision_depth(cfg, args.depth)
     _write_csv(run.path("critexp.csv"),
                ("s_lo", "s_hi", "depth", "norm", "certified"),
                [(bracket.lo, bracket.hi, bracket.depth_used, cfg.norm,
                  bracket.certified)])
     print(f"critical exponent in [{bracket.lo!r}, {bracket.hi!r}] "
           f"(certified: {bracket.certified})")
+    if collision is not None:
+        print("note: system is not free: distinct words repeat a matrix "
+              f"from depth {collision}; zeta weights count words, not "
+              "matrices")
     for note in bracket.notes:
         print(f"note: {note}")
     return 0
@@ -624,8 +630,16 @@ _COMMANDS = {
     "report": (_cmd_report, {"depth": 10, "norm": None, "tol": 1e-4}),
 }
 
-_OPTION_TYPES = {"depth": int, "samples": int, "seed": int, "n": int,
-                 "tol": float, "s": float}
+
+def _positive_int(text: str) -> int:
+    value = int(text) if text.strip().isdecimal() else 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
+    return value
+
+
+_OPTION_TYPES = {"depth": _positive_int, "samples": _positive_int,
+                 "seed": int, "n": _positive_int, "tol": float, "s": float}
 
 
 @functools.cache

@@ -24,8 +24,7 @@ import numpy as np
 
 from .errors import DegenerateDirectionsError, DegenerateMatrixError
 
-#: Renormalization and classification tolerance on |det - 1| and |tr| - 2.
-DET_TOL = 1e-9
+#: Classification tolerance on |tr| - 2 and on the distance to +-I.
 CLASS_TOL = 1e-9
 
 #: Entry tolerance below which renormalization is skipped entirely.
@@ -299,28 +298,29 @@ def normalize_angles_array(t: np.ndarray) -> np.ndarray:
     return t
 
 
+def classify_array(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Masks (hyperbolic, parabolic) over a det-one stack, with `classify`'s
+    comparisons.  A det-one matrix within CLASS_TOL of +-I has |tr| = 2 up
+    to rounding, so the +-I test runs only on the near-parabolic rows."""
+    t = np.abs(arr[:, 0, 0] + arr[:, 1, 1])
+    hyp = t > 2.0 + CLASS_TOL
+    par = (t >= 2.0 - CLASS_TOL) & ~hyp
+    near = np.flatnonzero(par)
+    sub, eye = arr[near], np.eye(2)
+    dev = np.minimum(np.abs(sub - eye).max(axis=(1, 2)),
+                     np.abs(sub + eye).max(axis=(1, 2)))
+    par[near[dev <= CLASS_TOL]] = False
+    return hyp, par
+
+
 def attracting_directions_array(arr: np.ndarray) -> np.ndarray:
     """Attracting fixed directions of the hyperbolic matrices in a det-one
     stack and neutral ones of the parabolic matrices, in stack order; the
-    vector counterpart of `fixed_points`, classified with the same CLASS_TOL.
-    Elliptic and +-identity matrices contribute nothing.  +-I has |tr| = 2,
-    so the +-identity test runs only on the near-parabolic rows."""
-    a = arr[:, 0, 0]
-    b = arr[:, 0, 1]
-    c = arr[:, 1, 0]
-    d = arr[:, 1, 1]
+    vector counterpart of `fixed_points`, classified by `classify_array`.
+    Elliptic and +-identity matrices contribute nothing."""
+    a, b, c, d = arr[:, 0, 0], arr[:, 0, 1], arr[:, 1, 0], arr[:, 1, 1]
     tr = a + d
-    hyp = np.abs(tr) > 2.0 + CLASS_TOL
-    par = np.abs(np.abs(tr) - 2.0) <= CLASS_TOL
-    near = np.flatnonzero(par)
-    sub = arr[near]
-    eye = np.eye(2)
-    pm_id = (
-        (np.abs(sub - eye).max(axis=(1, 2)) <= CLASS_TOL)
-        | (np.abs(sub + eye).max(axis=(1, 2)) <= CLASS_TOL)
-    )
-    par[near[pm_id]] = False
-    sel = hyp | par
+    sel = np.logical_or(*classify_array(arr))
     if not sel.any():
         return np.empty(0)
     disc = np.sqrt(np.maximum(tr * tr - 4.0, 0.0))

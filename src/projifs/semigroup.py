@@ -536,6 +536,18 @@ def _collision_count(arr: np.ndarray) -> int:
     return count
 
 
+def first_collision_depth(cfg: SystemConfig, depth: int) -> int | None:
+    """First n in 2..min(depth, 11) at which distinct length-n words repeat a
+    matrix (see _collision_count), among levels of at most 2,048 words; None
+    if none does.  A repeat means the system is not free."""
+    for n in range(2, min(depth, 11) + 1):
+        if cfg.k ** n > 2048:
+            break
+        if _collision_count(cfg.table.level(n)):
+            return n
+    return None
+
+
 # ---------------------------------------------------------------------------
 # Separation profiles.
 

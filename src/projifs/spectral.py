@@ -21,20 +21,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import OP2, MatrixClass, classify
+from .geometry import OP2, MatrixClass, classify, classify_array
 from .semigroup import (
     SystemConfig,
     Word,
     common_fixed_points,
     discreteness_profile,
-    _collision_count,
 )
 
 #: log 2 shows up as the norm-equivalence penalty for the max-entry norm,
 #: whose submultiplicativity only holds with a factor 2.
 _LOG2 = math.log(2.0)
 
-_PARABOLIC_TOL = 1e-9
 _ACCUMULATION_TOL = 1e-3
 
 #: Largest exponent the bracket bisects up to.
@@ -204,20 +202,6 @@ def _bisect_edge(pred, lo: float, hi: float, tol: float) -> tuple[float, float]:
     return lo, hi
 
 
-def _collision_note(cfg: SystemConfig, depth: int) -> str | None:
-    check_depth = 1
-    while cfg.k ** (check_depth + 1) <= 2048 and check_depth < min(depth, 11):
-        check_depth += 1
-    # same count as the all-pairs scan; see _collision_count for the sweep
-    for n in range(2, check_depth + 1):
-        if _collision_count(cfg.table.level(n)):
-            return (
-                "system is not free: distinct words repeat a matrix from "
-                f"depth {n}; zeta weights count words, not matrices"
-            )
-    return None
-
-
 def critical_exponent_bracket(
     cfg: SystemConfig,
     depth: int,
@@ -234,16 +218,14 @@ def critical_exponent_bracket(
     nonnegative, and the bracket is not certified.  hi is +inf when the
     predicate still holds at _S_MAX.  A certified-route bracket with finite
     hi wider than tol gets a note: the certificates themselves, not the
-    bisection, ran out of resolution at this depth.
+    bisection, ran out of resolution at this depth.  The notes say nothing
+    about freeness; `semigroup.first_collision_depth` answers that.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
     _check_c(c_const)
     probe = _PressureProbe(cfg, depth)
     notes = []
-    coll = _collision_note(cfg, depth)
-    if coll:
-        notes.append(coll)
     if cfg.norm != OP2:
         notes.append(
             "max-entry norm: lower bounds carry the factor-2 split penalty "
@@ -296,16 +278,7 @@ def _parabolic_word(cfg: SystemConfig):
     for n in range(1, _PARABOLIC_DEPTH + 1):
         if cfg.k ** n > 65536:
             break
-        lev = cfg.table.level(n)
-        tr = lev[:, 0, 0] + lev[:, 1, 1]
-        near = np.abs(np.abs(tr) - 2.0) <= _PARABOLIC_TOL
-        if not near.any():
-            continue
-        eye = np.eye(2)
-        dev_p = np.abs(lev - eye).max(axis=(1, 2))
-        dev_m = np.abs(lev + eye).max(axis=(1, 2))
-        mask = near & (dev_p > _PARABOLIC_TOL) & (dev_m > _PARABOLIC_TOL)
-        idx = np.flatnonzero(mask)
+        idx = np.flatnonzero(classify_array(cfg.table.level(n))[1])
         if idx.size:
             return cfg.table.word(n, int(idx[0]))
     return None

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from projifs import cones, semigroup
+from projifs import cli, cones, semigroup
 from projifs.cli import rerun_manifest, run_command
 from projifs.config import parse_config
 from projifs.svgplot import attractor_svg, line_plot_svg
@@ -56,6 +56,22 @@ class TestExitCodes:
         assert f"unrecognized arguments: {' '.join(option)}" in \
             capsys.readouterr().err
         assert not (tmp_path / "manifest.json").exists()
+
+    @pytest.mark.parametrize("command, option", [
+        (name, option)
+        for name, (_, options) in cli._COMMANDS.items()
+        for option in ("depth", "samples", "n") if option in options
+    ])
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_non_positive_count_is_rejected(
+        self, tmp_path, capsys, command, option, value
+    ):
+        argv = [command, "--config", cfg_path("positive_pair.cfg"),
+                f"--{option}", value, "--out", str(tmp_path)]
+        if command == "pressure":
+            argv += ["--s", "0.4"]
+        assert run_command(argv) == 1
+        assert f"'{value}' is not a positive integer" in capsys.readouterr().err
 
     def test_reduce_keeps_norm_and_seed(self, tmp_path):
         assert run_command(

@@ -18,6 +18,7 @@ from projifs.geometry import (
     attracting_directions_array,
     circ_dist,
     classify,
+    classify_array,
     fixed_points,
     normalize_angle,
     normalize_angles_array,
@@ -352,6 +353,17 @@ def _edge_stack():
     return np.stack(rows)
 
 
+def _trace_boundary_rows():
+    """_near_parabolic rows whose |tr| is fl(2 + CLASS_TOL) or
+    fl(2 - CLASS_TOL) exactly, at both signs: classify calls them parabolic,
+    while |(|tr| - 2)| exceeds CLASS_TOL by about 8e-17."""
+    return np.stack([
+        _near_parabolic(edge - 2.0, sign)
+        for edge in (2.0 + CLASS_TOL, 2.0 - CLASS_TOL)
+        for sign in (1.0, -1.0)
+    ])
+
+
 def test_attracting_directions_match_reference_on_edge_stack():
     arr = _edge_stack()
     got = attracting_directions_array(arr)
@@ -366,7 +378,7 @@ def test_attracting_directions_match_reference_on_edge_stack():
 
 def test_attracting_directions_select_the_rows_fixed_points_does():
     kept = (MatrixClass.HYPERBOLIC, MatrixClass.PARABOLIC)
-    arr = _edge_stack()
+    arr = np.concatenate([_edge_stack(), _trace_boundary_rows()])
     kinds = []
     for row in arr:
         m = Matrix2(*row.ravel())
@@ -377,6 +389,17 @@ def test_attracting_directions_select_the_rows_fixed_points_does():
         assert attracting_directions_array(row[None]).size == (kind in kept), (
             row, kind
         )
+
+
+def test_classify_array_matches_classify():
+    arr = np.concatenate([_edge_stack(), _trace_boundary_rows()])
+    for row in _trace_boundary_rows():
+        assert abs(row[0, 0] + row[1, 1]) in (2.0 + CLASS_TOL, 2.0 - CLASS_TOL)
+    hyp, par = classify_array(arr)
+    for i, row in enumerate(arr):
+        kind = classify(Matrix2(*row.ravel()))
+        assert hyp[i] == (kind is MatrixClass.HYPERBOLIC), (row, kind)
+        assert par[i] == (kind is MatrixClass.PARABOLIC), (row, kind)
 
 
 @given(sl2_matrices())

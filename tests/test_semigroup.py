@@ -21,8 +21,7 @@ from projifs.semigroup import (
     left_invariant_dist,
     word_product,
 )
-from projifs import semigroup, spectral
-from projifs.spectral import critical_exponent_bracket
+from projifs import semigroup
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -335,9 +334,9 @@ def test_collision_count_and_note_match_all_pairs_scan(cfg, rows, monkeypatch):
         exact[id(lev)] = semigroup._pairwise_min(lev)[1]
         assert semigroup._collision_count(lev) == exact[id(lev)], depth
         depth += 1
-    notes = critical_exponent_bracket(cfg, depth - 1).notes
-    monkeypatch.setattr(spectral, "_collision_count", lambda lev: exact[id(lev)])
-    assert critical_exponent_bracket(cfg, depth - 1).notes == notes
+    first = semigroup.first_collision_depth(cfg, depth - 1)
+    monkeypatch.setattr(semigroup, "_collision_count", lambda lev: exact[id(lev)])
+    assert semigroup.first_collision_depth(cfg, depth - 1) == first
 
 
 def _reference_pairwise_min(arr, other=None):

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from projifs import spectral
+from projifs import semigroup, spectral
+from projifs.cli import run_command
 from projifs.config import parse_config
-from projifs.geometry import Matrix2
+from projifs.geometry import CLASS_TOL, Matrix2, MatrixClass, classify
 from projifs.semigroup import SystemConfig
 from projifs.spectral import (
     QuickBound,
@@ -123,9 +124,27 @@ class TestCriticalExponentBracket:
         # the commuting system's finite-depth estimate is already exact
         assert br.hi == pytest.approx(delta, abs=2e-3)
 
-    def test_collision_note_for_non_free_system(self):
+    def test_collision_note_for_non_free_system(self, tmp_path, capsys):
+        # scaling_translation holds SHEAR_PAIR's letters; only critexp
+        # checks freeness, and prints its note ahead of the bracket's own
+        code = run_command(
+            ["critexp", "--config", str(CONFIGS / "scaling_translation.cfg"),
+             "--depth", "8", "--out", str(tmp_path)]
+        )
+        assert code == 0
+        notes = [line for line in capsys.readouterr().out.splitlines()
+                 if line.startswith("note: ")]
+        assert notes[0].startswith("note: system is not free: distinct "
+                                   "words repeat a matrix from depth ")
+        assert not any("not free" in n for n in notes[1:])
+
+    def test_bracket_runs_no_freeness_check(self, monkeypatch):
+        def refuse(arr):
+            raise AssertionError("the bracket swept for collisions")
+
+        monkeypatch.setattr(semigroup, "_collision_count", refuse)
         br = critical_exponent_bracket(SHEAR_PAIR, 8)
-        assert any("not free" in n for n in br.notes)
+        assert not any("not free" in n for n in br.notes)
 
     def test_max_norm_never_certifies(self):
         cfg = SystemConfig(matrices=(DIAG2, DIAG3), norm="max")
@@ -180,6 +199,20 @@ class TestQuickLowerBounds:
     def test_sign_flipping_letter_does_not_accumulate(self, letter):
         bounds = quick_lower_bounds(SystemConfig(matrices=(letter,)))
         assert all(b.reason != "accumulation-evidence" for b in bounds)
+
+    @pytest.mark.parametrize("edge", [2.0 + CLASS_TOL, 2.0 - CLASS_TOL])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_letter_at_the_trace_boundary_is_parabolic(self, edge, sign):
+        # |tr| = fl(2 +- CLASS_TOL) exactly: classify calls it parabolic
+        u = edge - 2.0
+        letter = Matrix2(sign * (1.0 + u), sign, sign * u, sign)
+        assert abs(letter.trace) == edge
+        assert classify(letter) is MatrixClass.PARABOLIC
+        bounds = quick_lower_bounds(SystemConfig(matrices=(letter,)))
+        assert any(
+            b.value == 0.5 and b.reason == "parabolic-product" and b.word == (0,)
+            for b in bounds
+        )
 
     def test_scale_pair_clean(self):
         # hyperbolic, free, shared-fixed-point system: reduction is singleton
