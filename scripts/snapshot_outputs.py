@@ -9,12 +9,15 @@ so `report.txt` reads the same in any checkout.  The runs are
 - every command with its default options on each single-system config
   (`pressure` with `--s 0.4`), and `scan-continuity` on both families;
 - `--norm max` for the commands that read the norm;
-- `--samples 2000 --seed 7` for the sampling commands.
+- `--samples 2000 --seed 7` for the sampling commands;
+- `report` and `certify-sd` on the inverse of each single-system config,
+  written by `emit_config` to `snapshot_inverse.cfg` in the current
+  directory, so that these runs too read one path in any checkout.
 
 Each run writes its outputs, its stdout as `stdout.txt` and its stderr
-(error reasons) as `stderr.txt`, to `OUT/<command>/<config>/` (a variant run
-to `OUT/<command>/<config>.<variant>/`), and `OUT/exit_codes.csv` lists every
-run's exit code.  Two snapshots have the same outputs when
+(error reasons) as `stderr.txt`, to `OUT/<command>/<config>/` (a variant run,
+the inverse runs included, to `OUT/<command>/<config>.<variant>/`), and
+`OUT/exit_codes.csv` lists every run's exit code.  Two snapshots have the same outputs when
 `diff -r -x manifest.json A B` prints nothing.
 """
 
@@ -27,8 +30,10 @@ import sys
 from pathlib import Path
 
 from projifs.cli import run_command
+from projifs.config import emit_config, parse_config
 
 CONFIG_DIR = Path("configs")
+INVERSE_CONFIG = Path("snapshot_inverse.cfg")
 
 COMMANDS = (
     "classify", "enumerate", "zeta", "pressure", "critexp", "attractor",
@@ -40,6 +45,7 @@ NORM_COMMANDS = (
     "furstenberg", "pivot", "lower-bound", "reduce", "report",
 )
 SAMPLING_COMMANDS = ("attractor", "repeller", "furstenberg")
+INVERSE_COMMANDS = ("report", "certify-sd")
 
 VARIANTS = (
     ("", COMMANDS, []),
@@ -58,6 +64,9 @@ def runs():
             s = ["--s", "0.4"] if command == "pressure" else []
             for path in systems:
                 yield command, path, variant, extra + s
+    for command in INVERSE_COMMANDS:
+        for path in systems:
+            yield command, path, "inverse", []
     for path in sorted(CONFIG_DIR.glob("family_*.cfg")):
         yield "scan-continuity", path, "", []
 
@@ -73,15 +82,21 @@ def main(argv=None) -> int:
         name = path.stem + (f".{variant}" if variant else "")
         run_dir = out / command / name
         run_dir.mkdir(parents=True, exist_ok=True)
+        config = path
+        if variant == "inverse":
+            INVERSE_CONFIG.write_text(
+                emit_config(parse_config(path).inverse()), encoding="utf-8")
+            config = INVERSE_CONFIG
         stdout, stderr = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(stdout), \
                 contextlib.redirect_stderr(stderr):
-            code = run_command([command, "--config", path.as_posix(), *extra,
-                                "--out", str(run_dir)])
+            code = run_command([command, "--config", config.as_posix(),
+                                *extra, "--out", str(run_dir)])
         (run_dir / "stdout.txt").write_text(stdout.getvalue(), encoding="utf-8")
         (run_dir / "stderr.txt").write_text(stderr.getvalue(), encoding="utf-8")
         rows.append((command, path.stem, variant, code))
         print(f"{command} {name}: exit {code}")
+    INVERSE_CONFIG.unlink(missing_ok=True)
     with open(out / "exit_codes.csv", "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(("command", "config", "variant", "code"))

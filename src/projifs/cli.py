@@ -638,8 +638,16 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _nonnegative_int(text: str) -> int:
+    if not text.strip().isdecimal():
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not a non-negative integer")
+    return int(text)
+
+
 _OPTION_TYPES = {"depth": _positive_int, "samples": _positive_int,
-                 "seed": int, "n": _positive_int, "tol": float, "s": float}
+                 "seed": _nonnegative_int, "n": _positive_int,
+                 "tol": float, "s": float}
 
 
 @functools.cache

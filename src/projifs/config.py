@@ -98,6 +98,8 @@ def _parse_common(keyed, blocks):
                 raise ConfigError(
                     f"{key} must be an integer, got {value!r}", line=line_no
                 ) from None
+            if key == "seed" and extra[key] < 0:
+                raise ConfigError("seed must be non-negative", line=line_no)
     return probs, norm, extra
 
 

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .cones import find_invariant_multicone
 from .geometry import OP2, MatrixClass, classify, classify_array
 from .semigroup import (
     SystemConfig,
@@ -286,7 +287,10 @@ def _parabolic_word(cfg: SystemConfig):
 
 def _accumulation_evidence(cfg: SystemConfig) -> bool:
     """True when distinct products pile up on each other within the scan
-    budget, the finite-depth signature of a non-semidiscrete system."""
+    budget, the finite-depth signature of a non-semidiscrete system.  A found
+    multicone certifies semidiscreteness, so it retires the scan."""
+    if find_invariant_multicone(cfg).found:
+        return False
     if cfg.k == 1:
         # only an elliptic letter's powers can accumulate: those of a
         # hyperbolic or parabolic letter, or +-Id, are discrete.  Powers of
@@ -315,7 +319,7 @@ def quick_lower_bounds(cfg: SystemConfig) -> tuple[QuickBound, ...]:
     A parabolic product forces delta >= 1/2 (its powers have norm growing
     linearly).  A shared fixed point whose one-dimensional reduction yields
     an interval attractor forces delta >= 1.  Accumulation of distinct
-    products is evidence, not proof, of delta = infinity.
+    products is evidence of delta = inf; a found multicone retires the scan.
     """
     bounds: list[QuickBound] = []
     w = _parabolic_word(cfg)

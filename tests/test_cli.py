@@ -73,6 +73,18 @@ class TestExitCodes:
         assert run_command(argv) == 1
         assert f"'{value}' is not a positive integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, extra", [
+        ("attractor", ["--samples", "10"]),
+        ("reduce", []),
+    ])
+    def test_negative_seed_is_rejected(self, tmp_path, capsys, command, extra):
+        argv = [command, "--config", cfg_path("positive_pair.cfg"), *extra,
+                "--seed", "-1", "--out", str(tmp_path)]
+        assert run_command(argv) == 1
+        assert "'-1' is not a non-negative integer" in capsys.readouterr().err
+        assert not (tmp_path / "manifest.json").exists()
+        assert not (tmp_path / "reduced.cfg").exists()
+
     def test_reduce_keeps_norm_and_seed(self, tmp_path):
         assert run_command(
             ["reduce", "--config", cfg_path("elliptic_mix.cfg"),
@@ -346,6 +358,44 @@ class TestCsvContracts:
         # forward (certify-uh, then reused by certify-sd) and inverse
         assert len(searched) == 2
         assert searched[1] == searched[0].inverse()
+
+    @pytest.mark.parametrize("name, scans", [
+        ("positive_pair.cfg", False),
+        ("diag_pair.cfg", False),
+        ("stern_brocot.cfg", False),
+        ("shared_fixed_pair.cfg", True),
+    ])
+    def test_report_profiles_only_systems_without_a_multicone(
+        self, tmp_path, monkeypatch, name, scans
+    ):
+        # a found multicone certifies semidiscreteness, so neither
+        # certify_semidiscrete nor the accumulation scan profiles the system
+        profiled = []
+        profile = semigroup.discreteness_profile
+        for module_name, module in list(sys.modules.items()):
+            if module_name.startswith("projifs") and \
+                    getattr(module, "discreteness_profile", None) is profile:
+                monkeypatch.setattr(
+                    module, "discreteness_profile",
+                    lambda cfg, depth: profiled.append(depth)
+                    or profile(cfg, depth),
+                )
+        assert run_command(
+            ["report", "--config", cfg_path(name), "--out", str(tmp_path)]
+        ) == 0
+        assert bool(profiled) is scans
+
+    def test_report_keeps_accumulation_evidence_without_a_multicone(
+        self, tmp_path
+    ):
+        assert run_command(
+            ["report", "--config", cfg_path("shared_fixed_pair.cfg"),
+             "--out", str(tmp_path)]
+        ) == 0
+        lines = (tmp_path / "report.txt").read_text().splitlines()
+        assert "semidiscreteness: evidence-only" in lines
+        assert ("quick bound: delta >= inf (accumulation-evidence, "
+                "certified False)") in lines
 
     def test_diophantine_says_when_the_scan_is_windowed(self, tmp_path, capsys):
         path = cfg_path("inverse_pair.cfg")

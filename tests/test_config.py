@@ -91,6 +91,11 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="stray"):
             parse_config_text("seed: 3\n2 0 0 1/2\n")
 
+    def test_negative_seed(self):
+        with pytest.raises(ConfigError, match="seed must be non-negative") as e:
+            parse_config_text("matrices:\n  2 0 0 1/2\nseed: -1\n")
+        assert e.value.line == 3
+
     def test_missing_matrices(self):
         with pytest.raises(ConfigError, match="no matrices"):
             parse_config_text("seed: 3\n")

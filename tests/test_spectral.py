@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from projifs import semigroup, spectral
+from projifs import cones, semigroup, spectral
 from projifs.cli import run_command
-from projifs.config import parse_config
+from projifs.config import parse_config, parse_family
 from projifs.geometry import CLASS_TOL, Matrix2, MatrixClass, classify
 from projifs.semigroup import SystemConfig
 from projifs.spectral import (
@@ -213,6 +213,23 @@ class TestQuickLowerBounds:
             b.value == 0.5 and b.reason == "parabolic-product" and b.word == (0,)
             for b in bounds
         )
+
+    @pytest.mark.parametrize("name, t, inverted", [
+        ("family_hyperbolic_interior", 1.5, True),
+        ("family_identity_limit", 0.04, False),
+    ])
+    def test_found_multicone_retires_the_accumulation_scan(
+        self, name, t, inverted
+    ):
+        # the pairwise minimum falls fast on both (Diophantine decay on the
+        # first), yet a multicone certifies semidiscreteness: compact on the
+        # first, strict-only on the second
+        cfg = parse_family(CONFIGS / f"{name}.cfg").at(t)
+        cfg = cfg.inverse() if inverted else cfg
+        cert = cones.certify_semidiscrete(cfg)
+        assert cert.status is cones.SDStatus.CERTIFIED_VIA_INVARIANT_SET
+        bounds = quick_lower_bounds(cfg)
+        assert all(b.reason != "accumulation-evidence" for b in bounds)
 
     def test_scale_pair_clean(self):
         # hyperbolic, free, shared-fixed-point system: reduction is singleton
