@@ -10,9 +10,10 @@ so `report.txt` reads the same in any checkout.  The runs are
   (`pressure` with `--s 0.4`), and `scan-continuity` on both families;
 - `--norm max` for the commands that read the norm;
 - `--samples 2000 --seed 7` for the sampling commands;
-- `report` and `certify-sd` on the inverse of each single-system config,
-  written by `emit_config` to `snapshot_inverse.cfg` in the current
-  directory, so that these runs too read one path in any checkout.
+- `report`, `certify-uh` and `certify-sd` on the inverse of each
+  single-system config, written by `emit_config` to `snapshot_inverse.cfg`
+  in the current directory, so that these runs too read one path in any
+  checkout.
 
 Each run writes its outputs, its stdout as `stdout.txt` and its stderr
 (error reasons) as `stderr.txt`, to `OUT/<command>/<config>/` (a variant run,
@@ -45,7 +46,7 @@ NORM_COMMANDS = (
     "furstenberg", "pivot", "lower-bound", "reduce", "report",
 )
 SAMPLING_COMMANDS = ("attractor", "repeller", "furstenberg")
-INVERSE_COMMANDS = ("report", "certify-sd")
+INVERSE_COMMANDS = ("report", "certify-uh", "certify-sd")
 
 VARIANTS = (
     ("", COMMANDS, []),

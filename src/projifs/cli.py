@@ -21,7 +21,7 @@ CSV column orders (one header line, comma separated, '.' decimal):
   attractor        theta            (plus attractor.svg)
   repeller         theta            (plus repeller.svg)
   dimension        box_dim,stderr,delta_lo,delta_hi,predicted_lo,predicted_hi,verdict
-  certify-uh       status,kind,margin,cone_gap,growth_lambda,empirical_c
+  certify-uh       status,kind,margin,growth_lambda,empirical_c
   certify-sd       status,kind,margin,min_dist_to_identity,min_pairwise
   diophantine      depth,word_count,min_dist,collisions
   furstenberg      theta            (plus furstenberg_summary.csv)
@@ -340,9 +340,8 @@ def _cmd_certify_uh(args, run: _Run) -> int:
     cert = certify_uniform_hyperbolicity(cfg, depth=args.depth)
     kind = cert.forward.kind.value if cert.forward.kind else ""
     _write_csv(run.path("certify_uh.csv"),
-               ("status", "kind", "margin", "cone_gap", "growth_lambda",
-                "empirical_c"),
-               [(cert.status.value, kind, cert.forward.margin, cert.cone_gap,
+               ("status", "kind", "margin", "growth_lambda", "empirical_c"),
+               [(cert.status.value, kind, cert.forward.margin,
                  cert.growth.lam, cert.empirical_c)])
     if cert.certified:
         print(f"certified uniformly hyperbolic: compact multicone with "

@@ -1,9 +1,10 @@
 """Multicones and the certificates built on them.
 
 A multicone is a finite union of open arcs of RP^1 with disjoint closures,
-not the whole circle.  A system that maps some multicone strictly inside
-itself is uniformly hyperbolic on it, and the strict invariance also
-certifies semidiscreteness of the generated semigroup.  The search below
+not the whole circle.  A system that maps the closure of some multicone
+into its interior is uniformly hyperbolic (Avila-Bochi-Yoccoz, Comment.
+Math. Helv. 2010, Thm 2.2), and the strict invariance also certifies
+semidiscreteness of the generated semigroup.  The search below
 grows a candidate from fixed-point seeds, closes it under the letter maps,
 and then measures how far inside itself the closure lands.
 
@@ -376,16 +377,12 @@ class AlmostMultConstant:
 
 def almost_mult_constant(
     cfg: SystemConfig,
-    cone_result: ConeSearchResult,
+    cone: Multicone,
+    margin: float,
     max_check_depth: int = 14,
 ) -> AlmostMultConstant:
-    if not cone_result.found or cone_result.kind is not ConeKind.COMPACT:
-        return AlmostMultConstant(
-            0.0, 0.0, False, 0.0, 0, 0,
-            ("needs a compact invariant multicone",),
-        )
-    cone = cone_result.cone
-    margin = cone_result.margin
+    """The constant for a multicone every letter maps inside itself with
+    the given positive containment margin."""
     threshold = 2.0 / margin
     table = cfg.table
     g = margin
@@ -502,9 +499,6 @@ class UHStatus(enum.Enum):
 class UHCertificate:
     status: UHStatus
     forward: ConeSearchResult
-    backward: ConeSearchResult
-    relation: str | None
-    cone_gap: float
     growth: GrowthEstimate
     almost_mult: AlmostMultConstant | None
     empirical_c: float
@@ -518,50 +512,30 @@ class UHCertificate:
 def certify_uniform_hyperbolicity(
     cfg: SystemConfig, depth: int = 10
 ) -> UHCertificate:
-    """Certificate route: a compact forward multicone, a compact backward
-    multicone for the inverse system, and a positive gap between them.
-    Growth statistics and the empirical split ratio are reported either way;
-    only the cone route certifies.
+    """Certificate route: a compact invariant multicone M.  Every letter
+    maps the closure of M into the interior of M, so the inverses map the
+    closed complement of M into its own interior, and the system is
+    uniformly hyperbolic (Avila-Bochi-Yoccoz, Comment. Math. Helv. 2010,
+    Thm 2.2).  Growth statistics and the empirical split ratio are reported
+    either way; only the cone certifies.
     """
     notes = []
     forward = find_invariant_multicone(cfg)
-    backward = find_invariant_multicone(cfg.inverse())
-    relation = None
-    gap = math.nan
-    if forward.found and backward.found:
-        gap = multicone_gap(forward.cone, backward.cone)
-        relation = "disjoint" if gap > 0.0 else "intersecting"
     growth = _growth_estimate(cfg, depth)
     empirical = empirical_almost_mult(cfg, min(depth, 8))
-    certified = (
-        forward.found
-        and forward.kind is ConeKind.COMPACT
-        and backward.found
-        and backward.kind is ConeKind.COMPACT
-        and relation == "disjoint"
-    )
+    certified = forward.found and forward.kind is ConeKind.COMPACT
     am = None
     if certified:
-        am = almost_mult_constant(cfg, forward)
+        am = almost_mult_constant(cfg, forward.cone, forward.margin)
         if not am.valid:
             notes.extend(am.notes)
+    elif not forward.found:
+        notes.append("no forward invariant multicone found")
     else:
-        if not forward.found:
-            notes.append("no forward invariant multicone found")
-        elif forward.kind is not ConeKind.COMPACT:
-            notes.append("forward multicone is strict-only, not compact")
-        if not backward.found:
-            notes.append("no backward invariant multicone found")
-        elif backward.kind is not ConeKind.COMPACT:
-            notes.append("backward multicone is strict-only, not compact")
-        if relation == "intersecting":
-            notes.append("forward and backward multicones intersect")
+        notes.append("forward multicone is strict-only, not compact")
     return UHCertificate(
         status=UHStatus.CERTIFIED if certified else UHStatus.NOT_CERTIFIED,
         forward=forward,
-        backward=backward,
-        relation=relation,
-        cone_gap=gap,
         growth=growth,
         almost_mult=am,
         empirical_c=empirical,

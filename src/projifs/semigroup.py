@@ -49,11 +49,12 @@ _EXACT_PAIR_LIMIT = 4096
 
 _WINDOW = 64
 
-#: Fixed generic unit vector in R^4 that the collision sweep projects rows on.
+#: Fixed generic unit vector in R^4 on which the pairwise scan projects rows
+#: to pick each row's seed pair.
 _SWEEP_DIRECTION = np.array([0.5377, 0.4412, -0.2118, 0.6893])
 _SWEEP_DIRECTION /= np.linalg.norm(_SWEEP_DIRECTION)
 
-#: Pairs the collision sweep and the pairwise scan build and evaluate at once.
+#: Pairs the pairwise scan builds and evaluates at once.
 _SWEEP_CHUNK = 1 << 15
 
 _EPS = float(np.finfo(float).eps)
@@ -471,79 +472,14 @@ def _window_scan(arr: np.ndarray, other: np.ndarray | None) -> tuple[float, int]
     return best, hits
 
 
-def _collision_count(arr: np.ndarray) -> int:
-    """Number of pairs within the stack closer than COLLISION_TOL: the count
-    the all-pairs scan of _pairwise_min(arr) gives, without visiting every
-    pair.
-
-    Rows are projected onto the unit vector _SWEEP_DIRECTION and sorted.
-    Only pairs whose projections differ by at most a radius R are candidates,
-    and each is evaluated as the all-pairs scan does it: the log-norm of
-    adj(A_i) @ A_j with i < j in row order, compared with COLLISION_TOL.
-
-    R keeps every pair that scan counts.  Let F = max ||A||_F and
-    drift = max |det A - 1| over the stack, eta = drift + 2 eps F^2 (which
-    bounds the true drift through the rounding of the determinants),
-    e = 1.01 eps F^2 (which bounds the rounding of the computed C' = adj(A) B,
-    whose entries are two-term dot products) and C = adj(A) B exactly.
-    Since A C = det(A) B, B - A = A (C - I) + (1 - det A) B, and the
-    projections differ by at most ||B - A||_F <= F (||C' - I||_F + e + eta).
-    A computed log-norm below COLLISION_TOL needs half trace t > 0 and a
-    traceless part N < 1.001 COLLISION_TOL max(1, t), because the log-norm
-    scales N by at least 1/max(1, t).  As t^2 - det C' is at most N^2 / 2 and
-    det C' is within 2 eta + eta^2 + ||C|| e + e^2 / 2 of one, this gives
-    t <= 1 + eta + 2.13 e and
-    ||B - A||_F / F < 1.001 COLLISION_TOL (1 + eta + 2.13 e) + 3.83 eta
-    + 1.42 eta^2 + 3.01 e + 2.01 eta e + 6.4 e^2.
-    R = F (4 COLLISION_TOL + 8 eta) exceeds that by more than
-    2.4 COLLISION_TOL F, far above the rounding of the projections, whenever
-    R < 2 F (then eta < 0.25 and e < eta / 1.98); from 2 F on it covers
-    every projection, as |p| <= F.
-
-    Candidates are built and evaluated _SWEEP_CHUNK pairs at a time (or one
-    row's candidates, if more), so memory stays flat when R covers the whole
-    stack.
-    """
-    n = len(arr)
-    if n < 2:
-        return 0
-    f2, eta = _norm_and_drift(arr)
-    radius = math.sqrt(f2) * (4.0 * COLLISION_TOL + 8.0 * eta)
-    proj = arr.reshape(n, 4) @ _SWEEP_DIRECTION
-    order = np.argsort(proj)
-    p = proj[order]
-    stop = np.searchsorted(p, p + radius, side="right")
-    # partners[s]: candidates after sorted position s; ends: running total
-    partners = stop - np.arange(1, n + 1)
-    ends = np.cumsum(partners)
-    adj = _adjugates(arr)
-    count = 0
-    lo = 0
-    while lo < n:
-        done = int(ends[lo - 1]) if lo else 0
-        hi = max(lo + 1, int(
-            np.searchsorted(ends, done + _SWEEP_CHUNK, side="right")
-        ))
-        reps = partners[lo:hi]
-        first = np.repeat(np.arange(lo, hi), reps)
-        rank = np.arange(done, int(ends[hi - 1])) - np.repeat(
-            ends[lo:hi] - reps, reps
-        )
-        a, b = order[first], order[first + 1 + rank]
-        c = np.matmul(adj[np.minimum(a, b)], arr[np.maximum(a, b)])
-        count += int((_displacement_norms_array(c) < COLLISION_TOL).sum())
-        lo = hi
-    return count
-
-
 def first_collision_depth(cfg: SystemConfig, depth: int) -> int | None:
     """First n in 2..min(depth, 11) at which distinct length-n words repeat a
-    matrix (see _collision_count), among levels of at most 2,048 words; None
-    if none does.  A repeat means the system is not free."""
+    matrix (an exact collision of _pairwise_min), among levels of at most
+    2,048 words; None if none does.  A repeat means the system is not free."""
     for n in range(2, min(depth, 11) + 1):
         if cfg.k ** n > 2048:
             break
-        if _collision_count(cfg.table.level(n)):
+        if _pairwise_min(cfg.table.level(n))[1]:
             return n
     return None
 
@@ -651,6 +587,15 @@ class DiscretenessProfile:
 
 
 def discreteness_profile(cfg: SystemConfig, depth: int) -> DiscretenessProfile:
+    """The profile of depths 1..depth.  Row n reads only levels 1..n, so a
+    shallower profile is the first rows of a deeper one: the deepest profile
+    is kept in cfg.memo and shallower requests read their prefix of it."""
+    kept = cfg.memo.get("discreteness")
+    if kept is not None and len(kept.rows) >= depth:
+        rows = kept.rows[:depth]
+        return DiscretenessProfile(
+            rows=rows, total_collisions=sum(r.collisions for r in rows)
+        )
     rows = []
     pool: np.ndarray | None = None
     running = math.inf
@@ -666,7 +611,9 @@ def discreteness_profile(cfg: SystemConfig, depth: int) -> DiscretenessProfile:
         running = min(running, d_in, d_cross)
         rows.append(DiscretenessRow(n, len(lev), to_id, running, c_in + c_cross))
         pool = lev if pool is None else np.concatenate([pool, lev], axis=0)
-    return DiscretenessProfile(rows=tuple(rows), total_collisions=collisions)
+    prof = DiscretenessProfile(rows=tuple(rows), total_collisions=collisions)
+    cfg.memo["discreteness"] = prof
+    return prof
 
 
 # ---------------------------------------------------------------------------

@@ -30,8 +30,6 @@ import numpy as np
 from .attractor import attractor_points_fixedpoint, repeller_points_fixedpoint
 from .cones import (
     Arc,
-    ConeKind,
-    ConeSearchResult,
     Multicone,
     _map_arc,
     almost_mult_constant,
@@ -532,15 +530,9 @@ def gamma_lower_bound(
             depth += 1
     clamped = depth > norm_cap
     depth = min(depth, norm_cap)
-    synthetic = ConeSearchResult(
-        found=True,
-        cone=Multicone([U]),
-        kind=ConeKind.COMPACT,
-        margin=cone_margin,
-        iterations=0,
-        notes=("cone containment certified letter by letter via the pivot",),
-    )
-    am = almost_mult_constant(gamma_cfg, synthetic, max_check_depth=min(depth, 6))
+    # every kept letter maps U into U' inside U, checked letter by letter
+    am = almost_mult_constant(gamma_cfg, Multicone([U]), cone_margin,
+                              max_check_depth=min(depth, 6))
     c_const = am.c if am.valid else None
     bracket = critical_exponent_bracket(gamma_cfg, depth=depth, c_const=c_const)
     value = min(1.0, max(0.0, bracket.lo))

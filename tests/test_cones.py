@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from projifs import cones
-from projifs.config import parse_config
+from projifs.config import parse_config, parse_family
 from projifs.cones import (
     AlmostMultConstant,
     ConeKind,
@@ -193,7 +193,7 @@ class TestInvariantMulticone:
 class TestAlmostMult:
     def test_positive_pair_constant_is_sound(self):
         cone = find_invariant_multicone(POSITIVE_PAIR)
-        am = almost_mult_constant(POSITIVE_PAIR, cone)
+        am = almost_mult_constant(POSITIVE_PAIR, cone.cone, cone.margin)
         assert am.valid
         assert 0.0 < am.c <= 1.0
         assert am.c == pytest.approx(math.sin(am.g) ** 2)
@@ -202,14 +202,16 @@ class TestAlmostMult:
 
     def test_empirical_dominates_certified(self):
         cone = find_invariant_multicone(POSITIVE_PAIR)
-        am = almost_mult_constant(POSITIVE_PAIR, cone)
+        am = almost_mult_constant(POSITIVE_PAIR, cone.cone, cone.margin)
         assert empirical_almost_mult(POSITIVE_PAIR) >= am.c
 
     def test_needs_compact_cone(self):
-        cone = find_invariant_multicone(GRAZING_PAIR)
-        am = almost_mult_constant(GRAZING_PAIR, cone)
-        assert not am.valid
-        assert any("compact" in n for n in am.notes)
+        # a strict-only cone neither certifies nor gets a constant
+        assert find_invariant_multicone(GRAZING_PAIR).kind is ConeKind.STRICT_ONLY
+        cert = certify_uniform_hyperbolicity(GRAZING_PAIR)
+        assert not cert.certified
+        assert cert.almost_mult is None
+        assert cert.notes == ("forward multicone is strict-only, not compact",)
 
     def test_verify_catches_impossible_constant(self):
         # submultiplicativity caps every ratio at 1, so c > 1 must fail
@@ -223,8 +225,6 @@ class TestUniformHyperbolicity:
     def test_positive_pair_certifies(self):
         cert = certify_uniform_hyperbolicity(POSITIVE_PAIR)
         assert cert.certified
-        assert cert.relation == "disjoint"
-        assert cert.cone_gap > 0.0
         assert cert.almost_mult is not None and cert.almost_mult.valid
         assert cert.empirical_c >= cert.almost_mult.c
         assert cert.growth.lam > 1.0
@@ -238,9 +238,38 @@ class TestUniformHyperbolicity:
     def test_single_diag_certifies_with_exact_growth(self):
         cert = certify_uniform_hyperbolicity(SINGLE_DIAG)
         assert cert.certified
-        assert cert.relation == "disjoint"
         assert cert.growth.lam == pytest.approx(2.0, rel=1e-9)
         assert cert.growth.c == pytest.approx(1.0, rel=1e-9)
+
+    @pytest.mark.parametrize("index", [1, 22])
+    def test_interior_family_inverse_certifies(self, index):
+        # t = 0.520 and 0.949: the compact forward cone alone certifies;
+        # neither system's inverse has a compact cone of its own
+        family = parse_family(CONFIGS / "family_hyperbolic_interior.cfg")
+        cfg = family.at(family.grid[index]).inverse()
+        cert = certify_uniform_hyperbolicity(cfg)
+        assert cert.certified
+        assert cert.forward.kind is ConeKind.COMPACT
+        assert cert.almost_mult is not None and cert.almost_mult.valid
+        assert verify_almost_mult(cfg, cert.almost_mult.c, 6) == 0
+        assert cert.growth.lam > 1.0
+
+    def test_one_search_and_no_inverse(self, monkeypatch):
+        searched = []
+        search = cones._search_multicone
+
+        def counting(cfg):
+            searched.append(cfg)
+            return search(cfg)
+
+        def refuse(cfg):
+            raise AssertionError("the certificate built the inverse system")
+
+        monkeypatch.setattr(cones, "_search_multicone", counting)
+        monkeypatch.setattr(SystemConfig, "inverse", refuse)
+        cfg = SystemConfig(matrices=POSITIVE_PAIR.matrices)
+        assert certify_uniform_hyperbolicity(cfg).certified
+        assert searched == [cfg]
 
 
 class TestSemidiscreteness:

@@ -251,17 +251,20 @@ class TestCollisionCount:
         arr = COLLISION_STACKS[name]
         if chunk is not None:
             monkeypatch.setattr(semigroup, "_SWEEP_CHUNK", chunk)
-        assert semigroup._collision_count(arr) == semigroup._pairwise_min(arr)[1]
+        assert semigroup._pairwise_min(arr)[1] == _reference_pairwise_min(arr)[1]
 
     def test_planted_cases_count_as_expected(self):
+        def count(name):
+            return semigroup._pairwise_min(COLLISION_STACKS[name])[1]
+
         # 40 planted copies: at least 40 colliding pairs
-        assert semigroup._collision_count(COLLISION_STACKS["duplicates"]) >= 40
+        assert count("duplicates") >= 40
         # only the 25 copies at 0.9 tol collide, not the 25 at 1.1 tol
-        assert semigroup._collision_count(COLLISION_STACKS["near_tol"]) == 25
+        assert count("near_tol") == 25
         # -A is the same projective map but not the same matrix
-        assert semigroup._collision_count(COLLISION_STACKS["minus_a"]) == 0
-        assert semigroup._collision_count(COLLISION_STACKS["scaled"]) == 20
-        assert semigroup._collision_count(COLLISION_STACKS["rounding_noise"]) > 0
+        assert count("minus_a") == 0
+        assert count("scaled") == 20
+        assert count("rounding_noise") > 0
 
     def test_pairs_are_evaluated_in_row_order(self):
         # at norm ~3e3 the rounding of adj(A) @ B and of adj(B) @ A can put
@@ -272,14 +275,16 @@ class TestCollisionCount:
         near = _near_copies(rng, base, tol * rng.uniform(0.9, 1.1, 300))
         order_matters = 0
         for a, b in zip(base, near):
-            exact = []
+            counts = []
             for pair in (np.stack([a, b]), np.stack([b, a])):
-                exact.append(semigroup._pairwise_min(pair)[1])
-                assert semigroup._collision_count(pair) == exact[-1]
-            order_matters += exact[0] != exact[1]
+                counts.append(semigroup._pairwise_min(pair)[1])
+                assert counts[-1] == _reference_pairwise_min(pair)[1]
+            order_matters += counts[0] != counts[1]
         assert order_matters > 0
 
     def test_radius_filters_small_norms_and_covers_large(self, monkeypatch):
+        # the half-trace window skips most pairs at small norms and keeps
+        # every pair near norm 1e8, evaluating none twice
         seen = []
         evaluate = semigroup._displacement_norms_array
 
@@ -291,14 +296,14 @@ class TestCollisionCount:
         for name, every_pair in (("near_tol", False), ("large_norm", True)):
             arr = COLLISION_STACKS[name]
             seen.clear()
-            semigroup._collision_count(arr)
+            semigroup._pairwise_min(arr)
             all_pairs = len(arr) * (len(arr) - 1) // 2
             assert (sum(seen) == all_pairs) is every_pair
             assert sum(seen) <= all_pairs
 
     def test_singletons(self):
-        assert semigroup._collision_count(np.empty((0, 2, 2))) == 0
-        assert semigroup._collision_count(np.stack([DIAG2.array])) == 0
+        assert semigroup._pairwise_min(np.empty((0, 2, 2)))[1] == 0
+        assert semigroup._pairwise_min(np.stack([DIAG2.array]))[1] == 0
 
 
 def _collision_systems():
@@ -325,18 +330,14 @@ def _collision_systems():
 
 
 @pytest.mark.parametrize("cfg,rows", _collision_systems())
-def test_collision_count_and_note_match_all_pairs_scan(cfg, rows, monkeypatch):
-    table = cfg.table
-    exact = {}
+def test_collision_count_and_note_match_all_pairs_scan(cfg, rows):
     depth = 1
-    while cfg.k ** depth <= rows and depth <= 11:
-        lev = table.level(depth)
-        exact[id(lev)] = semigroup._pairwise_min(lev)[1]
-        assert semigroup._collision_count(lev) == exact[id(lev)], depth
+    while cfg.k ** (depth + 1) <= rows and depth < 11:
         depth += 1
-    first = semigroup.first_collision_depth(cfg, depth - 1)
-    monkeypatch.setattr(semigroup, "_collision_count", lambda lev: exact[id(lev)])
-    assert semigroup.first_collision_depth(cfg, depth - 1) == first
+    counts = [semigroup._pairwise_min(cfg.table.level(n))[1]
+              for n in range(2, depth + 1)]
+    first = next((n for n, c in enumerate(counts, 2) if c), None)
+    assert semigroup.first_collision_depth(cfg, depth) == first
 
 
 def _reference_pairwise_min(arr, other=None):
@@ -614,6 +615,17 @@ class TestDiscretenessProfile:
         assert prof.final_min_pairwise < 0.6
         first = prof.rows[0].min_pairwise
         assert prof.final_min_pairwise < first
+
+    def test_shallower_profile_is_the_prefix_of_the_kept_one(self):
+        # the half/double scaling and unit shear pair collides from depth 7
+        cfg = SystemConfig(matrices=(HALF_DIAG, SHEAR))
+        deep = discreteness_profile(cfg, 9)
+        shallow = discreteness_profile(cfg, 8)
+        fresh = discreteness_profile(SystemConfig(matrices=cfg.matrices), 8)
+        assert shallow == fresh
+        assert shallow.rows == deep.rows[:8]
+        assert 0 < shallow.total_collisions < deep.total_collisions
+        assert cfg.memo["discreteness"] is deep
 
 
 class TestCommonFixedPoints:

@@ -1,12 +1,13 @@
 import dataclasses
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from projifs import cones, semigroup, spectral
+from projifs import cones, spectral
 from projifs.cli import run_command
 from projifs.config import parse_config, parse_family
 from projifs.geometry import CLASS_TOL, Matrix2, MatrixClass, classify
@@ -139,10 +140,13 @@ class TestCriticalExponentBracket:
         assert not any("not free" in n for n in notes[1:])
 
     def test_bracket_runs_no_freeness_check(self, monkeypatch):
-        def refuse(arr):
-            raise AssertionError("the bracket swept for collisions")
+        def refuse(cfg, depth):
+            raise AssertionError("the bracket checked freeness")
 
-        monkeypatch.setattr(semigroup, "_collision_count", refuse)
+        for name, module in list(sys.modules.items()):
+            if name.startswith("projifs") and hasattr(
+                    module, "first_collision_depth"):
+                monkeypatch.setattr(module, "first_collision_depth", refuse)
         br = critical_exponent_bracket(SHEAR_PAIR, 8)
         assert not any("not free" in n for n in br.notes)
 
