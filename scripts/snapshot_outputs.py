@@ -10,6 +10,9 @@ so `report.txt` reads the same in any checkout.  The runs are
   (`pressure` with `--s 0.4`), and `scan-continuity` on both families;
 - `--norm max` for the commands that read the norm;
 - `--samples 2000 --seed 7` for the sampling commands;
+- `certify-sd --depth 12`, whose deepest scan on a two-letter alphabet
+  compares a level of 4,096 products with the 4,094 shorter ones, and
+  `diophantine --depth 13`, whose level 13 is scanned by the sorted window;
 - `report`, `certify-uh` and `certify-sd` on the inverse of each
   single-system config, written by `emit_config` to `snapshot_inverse.cfg`
   in the current directory, so that these runs too read one path in any
@@ -53,6 +56,8 @@ VARIANTS = (
     ("norm-max", NORM_COMMANDS, ["--norm", "max"]),
     ("samples-2000-seed-7", SAMPLING_COMMANDS,
      ["--samples", "2000", "--seed", "7"]),
+    ("depth-12", ("certify-sd",), ["--depth", "12"]),
+    ("depth-13", ("diophantine",), ["--depth", "13"]),
 )
 
 

@@ -32,7 +32,7 @@ from .geometry import (
     proj_act,
     singular_directions,
 )
-from .semigroup import SystemConfig, discreteness_profile
+from .semigroup import _EXACT_PAIR_LIMIT, SystemConfig, discreteness_profile
 
 _HALF_PI = PI / 2.0
 
@@ -566,6 +566,8 @@ def certify_semidiscrete(cfg: SystemConfig, depth: int = 10) -> SDCertificate:
     """A strictly invariant multicone certifies semidiscreteness; products
     collapsing onto +-identity refute it; everything else stays evidence.
     The strict-only flavor of invariance carries its tolerance as a note.
+    The exact scan behind the evidence stops at the deepest level of at
+    most _EXACT_PAIR_LIMIT words, or at depth 1.
     """
     notes = []
     cone = find_invariant_multicone(cfg)
@@ -580,7 +582,7 @@ def certify_semidiscrete(cfg: SystemConfig, depth: int = 10) -> SDCertificate:
             cone, math.inf, math.inf, tuple(notes),
         )
     scan_depth = depth
-    while cfg.k ** scan_depth > 4096 and scan_depth > 2:
+    while cfg.k ** scan_depth > _EXACT_PAIR_LIMIT and scan_depth > 1:
         scan_depth -= 1
     prof = discreteness_profile(cfg, scan_depth)
     to_id = prof.final_min_to_identity

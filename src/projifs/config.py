@@ -26,7 +26,7 @@ from fractions import Fraction
 
 from .errors import ConfigError, DegenerateMatrixError
 from .geometry import NORM_KINDS, OP2, Matrix2
-from .semigroup import SystemConfig
+from .semigroup import DEFAULT_DEPTH_CAP, SystemConfig
 
 _DET_WARN = 1e-9
 _KEY_RE = re.compile(r"^([A-Za-z][A-Za-z_-]*):\s*(.*)$")
@@ -187,7 +187,7 @@ def emit_config(cfg: SystemConfig) -> str:
         lines.append("probs: " + " ".join(repr(p) for p in cfg.probs))
     if cfg.norm != OP2:
         lines.append(f"norm: {cfg.norm}")
-    if cfg.depth_cap != 22:
+    if cfg.depth_cap != DEFAULT_DEPTH_CAP:
         lines.append(f"depth_cap: {cfg.depth_cap}")
     if cfg.seed != 0:
         lines.append(f"seed: {cfg.seed}")
@@ -253,7 +253,7 @@ class FamilyConfig:
     grid: tuple[float, ...]
     probs: tuple[float, ...] | None = None
     norm: str = OP2
-    depth_cap: int = 22
+    depth_cap: int = DEFAULT_DEPTH_CAP
     seed: int = 0
 
     def at(self, t: float) -> SystemConfig:

@@ -44,7 +44,14 @@ _COMMON_FIXED_TOL = 1e-9
 #: bounds the requested depth by the config's depth_cap.
 _HARD_LEVEL_WORDS = 6_000_000
 
-#: Above this many products, pairwise minima switch to a sorted-window scan.
+#: depth_cap of a config that sets none.
+DEFAULT_DEPTH_CAP = 22
+
+#: Largest level the exact pairwise scan takes on a caller's behalf:
+#: diophantine_profile scans larger levels by a sorted window (_window_scan),
+#: and certify_semidiscrete profiles no level larger than this.  A direct
+#: call of _pairwise_min or discreteness_profile on a larger level is still
+#: exact, at a cost quadratic in its rows.
 _EXACT_PAIR_LIMIT = 4096
 
 _WINDOW = 64
@@ -72,7 +79,7 @@ class SystemConfig:
     matrices: tuple[Matrix2, ...]
     probs: tuple[float, ...] | None = None
     norm: str = OP2
-    depth_cap: int = 22
+    depth_cap: int = DEFAULT_DEPTH_CAP
     seed: int = 0
     source_rows: tuple[tuple[str, str, str, str], ...] | None = field(
         default=None, compare=False, repr=False
@@ -275,33 +282,31 @@ def _dists_to_identity(arr: np.ndarray) -> np.ndarray:
 
 
 def _pairwise_min(
-    arr: np.ndarray, other: np.ndarray | None = None
+    stack: np.ndarray, head: int | None = None
 ) -> tuple[float, int]:
     """Minimum left-invariant distance between distinct matrices, and the
     number of exact collisions (distance < COLLISION_TOL) excluded from it.
 
-    One array: pairs i < j within it, each the log-norm of adj(A_i) @ A_j.
-    Two arrays: every pair across, as adj(arr[i]) @ other[j].  Beyond
-    _EXACT_PAIR_LIMIT rows (its square for pairs across) only neighbours at
-    offsets 1.._WINDOW in lexicographic order are compared, so the reported
-    minimum is an upper bound for the true one and the collision count a
-    lower bound: a run of more than _WINDOW identical rows has pairs farther
-    apart than the window, and those are never compared.
+    The pairs are i < j with i < head (every pair when head is None), each
+    the log-norm of adj(A_i) @ A_j.  So a level followed by a pool of other
+    products, with head the level's length, gives the pairs within the level
+    and those from the level to the pool.  The scan is exact at any size and
+    its cost is quadratic in the rows; callers bound the size
+    (_EXACT_PAIR_LIMIT).
 
-    Below that size the result is the one every pair gives, but only pairs
-    that can change it are evaluated.  A pair matters only if its distance
-    is below tau = max(best so far, COLLISION_TOL); tau starts at the best of
-    one seed pair per row, its neighbour in projection order
-    (_SWEEP_DIRECTION).  The half-trace t_f of every other pair comes from
-    one (rows x 4) @ (4 x n) product, and only pairs with t_f in [lo, hi] =
-    _half_trace_window(tau, F^2, eta) are evaluated, so no pair is
-    evaluated twice.  Blocks and batches hold _SWEEP_CHUNK pairs (or one
-    row's, if more).
+    The result is the one every pair gives, but only pairs that can change
+    it are evaluated.  A pair matters only if its distance is below tau =
+    max(best so far, COLLISION_TOL); tau starts at the best of the seed
+    pairs, the neighbours in projection order (_SWEEP_DIRECTION).  The
+    half-trace t_f of every other pair comes from one (rows x 4) @ (4 x n)
+    product, and only pairs with t_f in [lo, hi] = _half_trace_window(tau,
+    F^2, eta) are evaluated, so no pair is evaluated twice.  Blocks and
+    batches hold _SWEEP_CHUNK pairs (or one row's, if more).
 
     No skipped pair is closer than tau.  Let C = adj(A) B exactly, with
     half-trace t_C and traceless part N_C, and C' = C + E the computed
     product, with half-trace t, traceless part N and computed log-norm d.
-    With F = max ||A||_F over both arrays, eta = max |det A - 1| + 2 eps F^2
+    With F = max ||A||_F over the stack, eta = max |det A - 1| + 2 eps F^2
     (_norm_and_drift), drift = 2 eta + eta^2 >= |det C - 1| and
     e = 1.01 eps F^2 >= ||E||_F (two-term dot products):
     - ||N_C||^2 >= 2 |t_C^2 - det C|, as for any 2x2 matrix, and
@@ -333,17 +338,11 @@ def _pairwise_min(
     The last steps need e < 1e-4 and drift < 0.25; otherwise (norms near
     1e5, or a stack far from determinant one) every pair is evaluated.
     """
-    if other is None:
-        if len(arr) < 2:
-            return math.inf, 0
-        if len(arr) > _EXACT_PAIR_LIMIT:
-            return _window_scan(arr, None)
-    else:
-        if len(arr) == 0 or len(other) == 0:
-            return math.inf, 0
-        if len(arr) * len(other) > _EXACT_PAIR_LIMIT ** 2:
-            return _window_scan(arr, other)
-    return _filtered_scan(arr, other)
+    n = len(stack)
+    head = n - 1 if head is None else min(head, n - 1)
+    if head <= 0:
+        return math.inf, 0
+    return _filtered_scan(stack, head)
 
 
 def _half_trace_window(tau: float, f2: float, eta: float) -> tuple[float, float]:
@@ -401,71 +400,60 @@ def _half_trace_weights(stack: np.ndarray) -> np.ndarray:
     return stack.reshape(-1, 4)[:, ::-1] * np.array([0.5, -0.5, -0.5, 0.5])
 
 
-def _filtered_scan(arr: np.ndarray, other: np.ndarray | None) -> tuple[float, int]:
-    """Every pair of _pairwise_min's exact scan, evaluated only inside the
-    half-trace window, and none twice."""
-    right = arr if other is None else other
-    rows = arr.reshape(-1, 4)
-    f2, eta = _norm_and_drift(
-        arr if other is None else np.concatenate([arr, other])
-    )
-    adj = _adjugates(arr)
-    w = _half_trace_weights(right)
+def _filtered_scan(stack: np.ndarray, head: int) -> tuple[float, int]:
+    """Every pair of _pairwise_min's scan, evaluated only inside the
+    half-trace window, and none twice; 0 < head < len(stack)."""
+    rows = stack.reshape(-1, 4)
+    f2, eta = _norm_and_drift(stack)
+    adj = _adjugates(stack[:head])
+    w = _half_trace_weights(stack)
 
-    # seed pairs: neighbours in projection order, one per row of arr
-    proj = right.reshape(-1, 4) @ _SWEEP_DIRECTION
-    order = np.argsort(proj)
-    if other is None:
-        first, then = order[:-1], order[1:]
-        first, then = np.minimum(first, then), np.maximum(first, then)
-        by_row = np.argsort(first, kind="stable")
-        first, then = first[by_row], then[by_row]
-    else:
-        first = np.arange(len(arr))
-        near = np.searchsorted(proj[order], rows @ _SWEEP_DIRECTION)
-        then = order[np.minimum(near, len(right) - 1)]
-    best, hits = _evaluate(adj, first, right, then)
+    # seed pairs: neighbours in projection order, as (first, then) with
+    # first < then, kept when first < head and sorted by first
+    order = np.argsort(rows @ _SWEEP_DIRECTION)
+    first, then = np.sort([order[:-1], order[1:]], axis=0)
+    seeded = first < head
+    first, then = first[seeded], then[seeded]
+    by_row = np.argsort(first, kind="stable")
+    first, then = first[by_row], then[by_row]
+    best, hits = _evaluate(adj, first, stack, then)
 
-    n, m = len(arr), len(right)
+    n = len(stack)
     lo = 0
-    while lo < n:
-        start = lo + 1 if other is None else 0
-        if start >= m:
-            break
-        hi = min(n, lo + max(1, _SWEEP_CHUNK // (m - start)))
+    while lo < head:
+        start = lo + 1
+        hi = min(head, lo + max(1, _SWEEP_CHUNK // (n - start)))
         t = rows[lo:hi] @ w[start:].T
         t_lo, t_hi = _half_trace_window(max(best, COLLISION_TOL), f2, eta)
         keep = ~((t < t_lo) | (t > t_hi))
-        if other is None:
-            keep &= np.arange(start, m) > np.arange(lo, hi)[:, None]
-        seeded = slice(*np.searchsorted(first, [lo, hi]))
-        keep[first[seeded] - lo, then[seeded] - start] = False
+        # pairs inside the block need j > i; later columns all follow it
+        inside = np.arange(start, hi) > np.arange(lo, hi)[:, None]
+        keep[:, :hi - start] &= inside
+        block = slice(*np.searchsorted(first, [lo, hi]))
+        keep[first[block] - lo, then[block] - start] = False
         i, j = np.nonzero(keep)
-        d, h = _evaluate(adj, i + lo, right, j + start)
+        d, h = _evaluate(adj, i + lo, stack, j + start)
         best = min(best, d)
         hits += h
         lo = hi
     return best, hits
 
 
-def _window_scan(arr: np.ndarray, other: np.ndarray | None) -> tuple[float, int]:
-    """_pairwise_min's windowed scan: neighbours at offsets 1.._WINDOW in
-    lexicographic order (only pairs across the arrays when other is given),
-    one offset at a time."""
-    both = arr if other is None else np.concatenate([arr, other], axis=0)
+def _window_scan(level: np.ndarray) -> tuple[float, int]:
+    """Pairs of one level at offsets 1.._WINDOW in lexicographic order, one
+    offset at a time: an upper bound on the minimum distance and a lower
+    bound on the collisions, since a run of more than _WINDOW equal rows has
+    pairs farther apart than the window."""
     order = np.lexsort(
-        (both[:, 1, 1], both[:, 1, 0], both[:, 0, 1], both[:, 0, 0])
+        (level[:, 1, 1], level[:, 1, 0], level[:, 0, 1], level[:, 0, 0])
     )
-    s = both[order]
+    s = level[order]
     adj = _adjugates(s)
-    from_other = order >= len(arr)
     n = len(s)
     best = math.inf
     hits = 0
     for offset in range(1, min(_WINDOW, n - 1) + 1):
         i = np.arange(n - offset)
-        if other is not None:
-            i = i[from_other[:-offset] != from_other[offset:]]
         d, h = _evaluate(adj, i, s, i + offset)
         best = min(best, d)
         hits += h
@@ -532,7 +520,8 @@ def diophantine_profile(cfg: SystemConfig, depth: int) -> DiophantineProfile:
     rows = []
     for n in range(1, depth + 1):
         lev = cfg.table.level(n)
-        d, coll = _pairwise_min(lev)
+        scan = _window_scan if len(lev) > _EXACT_PAIR_LIMIT else _pairwise_min
+        d, coll = scan(lev)
         rows.append(SeparationRow(n, len(lev), d, coll))
     pts = [(r.depth, math.log(r.min_dist)) for r in rows
            if r.depth >= 3 and math.isfinite(r.min_dist) and r.min_dist > 0]
@@ -566,10 +555,10 @@ class DiscretenessProfile:
     closest pair among all distinct products seen so far (any lengths, exact
     collisions excluded).  Approach of the pairwise minimum to zero is the
     accumulation signature of a non-semidiscrete system; approach to
-    identity refutes outright.  Once a level has more than
-    _EXACT_PAIR_LIMIT words, or a level times the pool of shorter products
-    more than its square in pairs, that comparison is a sorted window: the
-    pairwise minimum is then an upper bound and the collisions a lower bound.
+    identity refutes outright.  Every value is exact, at any depth: the
+    scan of a level against itself and the shorter products costs time
+    quadratic in their number, so certify_semidiscrete stops at the last
+    level of at most _EXACT_PAIR_LIMIT words.
     """
 
     rows: tuple[DiscretenessRow, ...]
@@ -587,9 +576,12 @@ class DiscretenessProfile:
 
 
 def discreteness_profile(cfg: SystemConfig, depth: int) -> DiscretenessProfile:
-    """The profile of depths 1..depth.  Row n reads only levels 1..n, so a
-    shallower profile is the first rows of a deeper one: the deepest profile
-    is kept in cfg.memo and shallower requests read their prefix of it."""
+    """The profile of depths 1..depth, exact at every depth: row n scans
+    level n within itself and against levels 1..n-1 in one _pairwise_min
+    call, with no window, at a cost quadratic in the words up to depth n.
+    Row n reads only levels 1..n, so a shallower profile is the first rows
+    of a deeper one: the deepest profile is kept in cfg.memo and shallower
+    requests read their prefix of it."""
     kept = cfg.memo.get("discreteness")
     if kept is not None and len(kept.rows) >= depth:
         rows = kept.rows[:depth]
@@ -597,20 +589,17 @@ def discreteness_profile(cfg: SystemConfig, depth: int) -> DiscretenessProfile:
             rows=rows, total_collisions=sum(r.collisions for r in rows)
         )
     rows = []
-    pool: np.ndarray | None = None
+    pool = np.empty((0, 2, 2))
     running = math.inf
     collisions = 0
     for n in range(1, depth + 1):
         lev = cfg.table.level(n)
         to_id = float(_dists_to_identity(lev).min())
-        d_in, c_in = _pairwise_min(lev)
-        d_cross, c_cross = (
-            (math.inf, 0) if pool is None else _pairwise_min(lev, pool)
-        )
-        collisions += c_in + c_cross
-        running = min(running, d_in, d_cross)
-        rows.append(DiscretenessRow(n, len(lev), to_id, running, c_in + c_cross))
-        pool = lev if pool is None else np.concatenate([pool, lev], axis=0)
+        d, coll = _pairwise_min(np.concatenate([lev, pool]), head=len(lev))
+        collisions += coll
+        running = min(running, d)
+        rows.append(DiscretenessRow(n, len(lev), to_id, running, coll))
+        pool = np.concatenate([pool, lev])
     prof = DiscretenessProfile(rows=tuple(rows), total_collisions=collisions)
     cfg.memo["discreteness"] = prof
     return prof

@@ -389,9 +389,9 @@ class TestCsvContracts:
         scanned = []
         scan = semigroup._pairwise_min
 
-        def counting(arr, other=None):
-            scanned.append((id(arr), None if other is None else len(other)))
-            return scan(arr, other)
+        def counting(stack, head=None):
+            scanned.append((stack.tobytes(), head))
+            return scan(stack, head)
 
         monkeypatch.setattr(semigroup, "_pairwise_min", counting)
         assert run_command(

@@ -295,6 +295,14 @@ class TestSemidiscreteness:
         assert cert.status is SDStatus.EVIDENCE_ONLY
         assert not cert.decided
 
+    def test_profiles_no_level_past_the_exact_pair_limit(self):
+        # 65 letters: level 2 has 4,225 words, more than _EXACT_PAIR_LIMIT
+        cfg = SystemConfig(matrices=tuple(
+            sl2_from_params(1.0 + 0.01 * j, 0.0, 0.0) for j in range(65)
+        ))
+        certify_semidiscrete(cfg)
+        assert [r.depth for r in cfg.memo["discreteness"].rows] == [1]
+
 
 def _scalar_seeds(cfg, seed_depth, budget=640):
     """Seeds from one scalar product per word: the first `budget` words,

@@ -168,20 +168,21 @@ class TestPairwiseMin:
         assert coll == 1
         assert d == pytest.approx(left_invariant_dist(DIAG2, SHEAR))
 
-    def test_windowed_is_upper_bound(self, monkeypatch):
+    def test_windowed_is_upper_bound(self):
         rng = np.random.default_rng(25)
         arr = np.stack([random_sl2(rng).array for _ in range(300)])
         exact, _ = semigroup._pairwise_min(arr)
-        monkeypatch.setattr(semigroup, "_EXACT_PAIR_LIMIT", 10)
-        windowed, _ = semigroup._pairwise_min(arr)
+        windowed, _ = semigroup._window_scan(arr)
         assert windowed >= exact - 1e-12
 
     def test_cross_arrays(self):
-        a = np.stack([DIAG2.array])
-        b = np.stack([SHEAR.array, DIAG2.array])
-        d, coll = semigroup._pairwise_min(a, b)
+        # rows from head on are only ever the later row of a pair: the two
+        # shears past head would collide with each other
+        stack = np.stack([DIAG2.array, SHEAR.array, DIAG2.array, SHEAR.array])
+        d, coll = semigroup._pairwise_min(stack, head=1)
         assert coll == 1
         assert d == pytest.approx(left_invariant_dist(DIAG2, SHEAR))
+        assert semigroup._pairwise_min(stack)[1] == 2
 
 
 def _random_stack(rng, n, max_log):
@@ -376,33 +377,29 @@ def _reference_pairwise_min(arr, other=None):
 
     if len(arr) == 0 or len(other) == 0:
         return math.inf, 0
-    if len(arr) * len(other) <= semigroup._EXACT_PAIR_LIMIT ** 2:
-        adj = semigroup._adjugates(arr)
-        for i in range(len(arr)):
-            absorb(semigroup._displacement_norms_array(np.matmul(adj[i], other)))
-        return best, collisions
-    both = np.concatenate([arr, other], axis=0)
-    tag = np.concatenate(
-        [np.zeros(len(arr), dtype=bool), np.ones(len(other), dtype=bool)]
-    )
-    order = np.lexsort(
-        (both[:, 1, 1], both[:, 1, 0], both[:, 0, 1], both[:, 0, 0])
-    )
-    s, st = both[order], tag[order]
-    adj = semigroup._adjugates(s)
-    for i in range(len(s) - 1):
-        j = min(len(s), i + 1 + semigroup._WINDOW)
-        cross = st[i + 1: j] != st[i]
-        if not cross.any():
-            continue
-        c = np.matmul(adj[i], s[i + 1: j][cross])
-        absorb(semigroup._displacement_norms_array(c))
+    adj = semigroup._adjugates(arr)
+    for i in range(len(arr)):
+        absorb(semigroup._displacement_norms_array(np.matmul(adj[i], other)))
     return best, collisions
 
 
+def _merged_reference(arr, other):
+    """The reference for the pairs within arr and from arr to other."""
+    d_in, c_in = _reference_pairwise_min(arr)
+    d_x, c_x = _reference_pairwise_min(arr, other)
+    return min(d_in, d_x), c_in + c_x
+
+
 def _assert_same_scan(arr, other=None):
-    got = semigroup._pairwise_min(arr, other)
-    want = _reference_pairwise_min(arr, other)
+    """_pairwise_min on arr, or on arr followed by other with head len(arr),
+    against the reference."""
+    if other is None:
+        got = semigroup._pairwise_min(arr)
+        want = _reference_pairwise_min(arr)
+    else:
+        got = semigroup._pairwise_min(np.concatenate([arr, other]),
+                                      head=len(arr))
+        want = _merged_reference(arr, other)
     assert got == want
     assert type(got[0]) is float and type(got[1]) is int
 
@@ -446,13 +443,14 @@ class TestPairwiseScan:
     @pytest.mark.parametrize("name", sorted(SCAN_STACKS))
     @pytest.mark.parametrize("chunk", [None, 7])
     def test_windowed_matches_per_row_scan(self, name, chunk, monkeypatch):
+        # the reference windows past _EXACT_PAIR_LIMIT rows
         monkeypatch.setattr(semigroup, "_EXACT_PAIR_LIMIT", 10)
         if chunk is not None:
             monkeypatch.setattr(semigroup, "_SWEEP_CHUNK", chunk)
         arr = SCAN_STACKS[name]
-        _assert_same_scan(arr)
-        split = len(arr) // 3
-        _assert_same_scan(arr[:split], arr[split:])
+        got = semigroup._window_scan(arr)
+        assert got == _reference_pairwise_min(arr)
+        assert type(got[0]) is float and type(got[1]) is int
 
     def test_pairs_are_evaluated_in_row_order(self):
         # adj(earlier) @ later: at norm ~3e3 the two orders of a pair near
@@ -476,8 +474,10 @@ class TestPairwiseScan:
         none = np.empty((0, 2, 2))
         assert semigroup._pairwise_min(one) == (math.inf, 0)
         assert semigroup._pairwise_min(none) == (math.inf, 0)
-        assert semigroup._pairwise_min(one, none) == (math.inf, 0)
-        assert semigroup._pairwise_min(none, one) == (math.inf, 0)
+        assert semigroup._pairwise_min(one, head=1) == (math.inf, 0)
+        assert semigroup._pairwise_min(one, head=0) == (math.inf, 0)
+        assert semigroup._pairwise_min(np.stack([one[0]] * 3), head=0) == (
+            math.inf, 0)
 
     def test_prefilter_prunes_and_never_repeats_a_pair(self, monkeypatch):
         seen = []
@@ -494,13 +494,13 @@ class TestPairwiseScan:
         assert all_pairs == 523_776
         assert sum(seen) < 0.05 * all_pairs
         for arr in SCAN_STACKS.values():
-            split = len(arr) // 3
-            for stacks, pairs in (
-                ((arr,), len(arr) * (len(arr) - 1) // 2),
-                ((arr[:split], arr[split:]), split * (len(arr) - split)),
+            n, split = len(arr), len(arr) // 3
+            for head, pairs in (
+                (None, n * (n - 1) // 2),
+                (split, split * (split - 1) // 2 + split * (n - split)),
             ):
                 seen.clear()
-                semigroup._pairwise_min(*stacks)
+                semigroup._pairwise_min(arr, head)
                 assert sum(seen) <= pairs
         # norms near 1e8 leave no window: every pair, each once
         arr = COLLISION_STACKS["large_norm"]
@@ -520,14 +520,17 @@ def _level_scan_systems():
 def test_scan_matches_per_row_scan_on_bundled_levels(cfg):
     """Every level of up to _EXACT_PAIR_LIMIT rows, within itself and
     against the pool of shorter levels that discreteness_profile builds."""
-    pool = None
+    pool = np.empty((0, 2, 2))
     depth = 1
     while cfg.k ** depth <= semigroup._EXACT_PAIR_LIMIT and depth <= 24:
         lev = cfg.table.level(depth)
-        _assert_same_scan(lev)
-        if pool is not None:
-            _assert_same_scan(lev, pool)
-        pool = lev if pool is None else np.concatenate([pool, lev], axis=0)
+        d_in, c_in = _reference_pairwise_min(lev)
+        d_x, c_x = _reference_pairwise_min(lev, pool)
+        assert semigroup._pairwise_min(lev) == (d_in, c_in)
+        assert semigroup._pairwise_min(
+            np.concatenate([lev, pool]), head=len(lev)
+        ) == (min(d_in, d_x), c_in + c_x)
+        pool = np.concatenate([pool, lev])
         depth += 1
 
 
@@ -626,6 +629,26 @@ class TestDiscretenessProfile:
         assert shallow.rows == deep.rows[:8]
         assert 0 < shallow.total_collisions < deep.total_collisions
         assert cfg.memo["discreteness"] is deep
+
+    def test_rows_stay_exact_past_the_pair_limit(self, monkeypatch):
+        # each row merges the level's scan within itself and against the
+        # shorter levels; a smaller limit does not window either of them.
+        # A window of 64 neighbours would miss collisions of level 8.
+        cfg = parse_config(CONFIGS / "inverse_pair.cfg")
+        want = []
+        pool = np.empty((0, 2, 2))
+        running = math.inf
+        for n in range(1, 9):
+            lev = cfg.table.level(n)
+            d, coll = _merged_reference(lev, pool)
+            running = min(running, d)
+            want.append((len(lev), running, coll))
+            pool = np.concatenate([pool, lev])
+        monkeypatch.setattr(semigroup, "_EXACT_PAIR_LIMIT", 10)
+        fresh = parse_config(CONFIGS / "inverse_pair.cfg")
+        prof = discreteness_profile(fresh, 8)
+        assert [(r.word_count, r.min_pairwise, r.collisions)
+                for r in prof.rows] == want
 
 
 class TestCommonFixedPoints:
