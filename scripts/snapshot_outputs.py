@@ -16,7 +16,10 @@ so `report.txt` reads the same in any checkout.  The runs are
 - `report`, `certify-uh` and `certify-sd` on the inverse of each
   single-system config, written by `emit_config` to `snapshot_inverse.cfg`
   in the current directory, so that these runs too read one path in any
-  checkout.
+  checkout;
+- `scan-continuity` on the families of `FAMILIES`, written the same way to
+  `snapshot_family.cfg`: one whose rows are all flagged and one whose rows
+  all fail.
 
 Each run writes its outputs, its stdout as `stdout.txt` and its stderr
 (error reasons) as `stderr.txt`, to `OUT/<command>/<config>/` (a variant run,
@@ -38,6 +41,16 @@ from projifs.config import emit_config, parse_config
 
 CONFIG_DIR = Path("configs")
 INVERSE_CONFIG = Path("snapshot_inverse.cfg")
+FAMILY_CONFIG = Path("snapshot_family.cfg")
+
+#: Families that the bundled ones do not cover.  The letters of the first
+#: are inverses of each other at every t, so every row is flagged
+#: `sd-refuted`.  The second has a singular member at t = 0 and the
+#: identity at t = 1, so no row has a finite value to plot.
+FAMILIES = {
+    "inverse_pair_family": "family:\n  2 t 0 1/2\n  1/2 -t 0 2\ngrid: 0 1 5\n",
+    "all_failed_family": "family:\n  t 0 0 t\ngrid: 0 1 2\n",
+}
 
 COMMANDS = (
     "classify", "enumerate", "zeta", "pressure", "critexp", "attractor",
@@ -75,6 +88,8 @@ def runs():
             yield command, path, "inverse", []
     for path in sorted(CONFIG_DIR.glob("family_*.cfg")):
         yield "scan-continuity", path, "", []
+    for name in FAMILIES:
+        yield "scan-continuity", Path(name), "", []
 
 
 def main(argv=None) -> int:
@@ -93,6 +108,9 @@ def main(argv=None) -> int:
             INVERSE_CONFIG.write_text(
                 emit_config(parse_config(path).inverse()), encoding="utf-8")
             config = INVERSE_CONFIG
+        elif path.name in FAMILIES:
+            FAMILY_CONFIG.write_text(FAMILIES[path.name], encoding="utf-8")
+            config = FAMILY_CONFIG
         stdout, stderr = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(stdout), \
                 contextlib.redirect_stderr(stderr):
@@ -103,6 +121,7 @@ def main(argv=None) -> int:
         rows.append((command, path.stem, variant, code))
         print(f"{command} {name}: exit {code}")
     INVERSE_CONFIG.unlink(missing_ok=True)
+    FAMILY_CONFIG.unlink(missing_ok=True)
     with open(out / "exit_codes.csv", "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(("command", "config", "variant", "code"))

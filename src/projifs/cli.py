@@ -31,8 +31,13 @@ CSV column orders (one header line, comma separated, '.' decimal):
   scan-continuity  t,box_dim,stderr,delta_lo,delta_hi,status,flags  (plus scan.svg)
   report           alphabet,uh_status,sd_status,box_dim,delta_lo,delta_hi,predicted_lo,predicted_hi,verdict  (plus report.txt)
 
-Words are printed as dash-joined letter indices ("0-1-1").  The flags
-column of a scan joins its markers with ';'.
+Words are printed as dash-joined letter indices ("0-1-1").  A scan's
+status is `ok`, `error: ...` for a ProjIFSError, or `degenerate: ...` for a
+ValueError (such as a failed box count).  Its flags column joins with ';'
+the markers `jump` (the box dimension differs from the previous finite one
+by more than 0.2) and `sd-refuted` (no multicone was found, and products
+come within 1e-9 of +-identity by depth min(depth, 8)).  A scan with no
+finite value to plot skips scan.svg with a note.
 """
 
 from __future__ import annotations
@@ -302,23 +307,27 @@ def _cmd_repeller(args, run: _Run) -> int:
                           repeller_points_orbit, "repeller")
 
 
-def _verdict(dim_value: float, lo: float, hi: float) -> str:
-    if not math.isfinite(hi):
-        return "inconclusive"
-    plo, phi = min(1.0, lo), min(1.0, hi)
-    if plo - _CONSISTENCY_SLACK <= dim_value <= phi + _CONSISTENCY_SLACK:
-        return "consistent"
-    return "inconsistent"
+def _formula_check(cfg, depth: int, tol: float):
+    """The check of dim_H K = min(1, delta): the fixed-point cloud at
+    `depth`, its box dimension, the critical-exponent bracket at
+    min(depth, 12), the predicted interval min(1, delta) and the verdict."""
+    cloud = attractor_points_fixedpoint(cfg, depth)
+    est = box_dimension(cloud)
+    bracket = critical_exponent_bracket(cfg, depth=min(depth, 12), tol=tol)
+    plo, phi = min(1.0, bracket.lo), min(1.0, bracket.hi)
+    if not math.isfinite(bracket.hi):
+        verdict = "inconclusive"
+    elif plo - _CONSISTENCY_SLACK <= est.value <= phi + _CONSISTENCY_SLACK:
+        verdict = "consistent"
+    else:
+        verdict = "inconsistent"
+    return cloud, est, bracket, (plo, phi), verdict
 
 
 def _cmd_dimension(args, run: _Run) -> int:
     cfg = _load_config(args, args.depth)
-    cloud = attractor_points_fixedpoint(cfg, args.depth)
-    est = box_dimension(cloud)
-    bracket = critical_exponent_bracket(cfg, depth=min(args.depth, 12),
-                                        tol=args.tol)
-    verdict = _verdict(est.value, bracket.lo, bracket.hi)
-    plo, phi = min(1.0, bracket.lo), min(1.0, bracket.hi)
+    _, est, bracket, (plo, phi), verdict = _formula_check(
+        cfg, args.depth, args.tol)
     _write_csv(run.path("dimension.csv"),
                ("box_dim", "stderr", "delta_lo", "delta_hi",
                 "predicted_lo", "predicted_hi", "verdict"),
@@ -424,11 +433,7 @@ def _cmd_furstenberg(args, run: _Run) -> int:
 
 def _cmd_pivot(args, run: _Run) -> int:
     cfg = _load_config(args, args.depth)
-    try:
-        pivot = find_pivot(cfg, depth=args.depth)
-    except PivotNotFoundError as exc:
-        print(f"inconclusive: {exc}")
-        return 2
+    pivot = find_pivot(cfg, depth=args.depth)
     m_nest, m_gap, m_map = pivot_margins(pivot)
     _write_csv(run.path("pivot.csv"),
                ("word", "u_lo", "u_hi", "u_prime_lo", "u_prime_hi",
@@ -446,11 +451,7 @@ def _cmd_pivot(args, run: _Run) -> int:
 
 def _cmd_lower_bound(args, run: _Run) -> int:
     cfg = _load_config(args, args.depth)
-    try:
-        pivot = find_pivot(cfg, depth=args.depth)
-    except PivotNotFoundError as exc:
-        print(f"inconclusive: {exc}")
-        return 2
+    pivot = find_pivot(cfg, depth=args.depth)
     g = gamma_lower_bound(cfg, pivot, args.n)
     lo = g.delta_bracket.lo if g.delta_bracket else float("nan")
     hi = g.delta_bracket.hi if g.delta_bracket else float("nan")
@@ -540,14 +541,15 @@ def _cmd_scan_continuity(args, run: _Run) -> int:
     _write_csv(run.path("scan.csv"),
                ("t", "box_dim", "stderr", "delta_lo", "delta_hi", "status",
                 "flags"), rows)
-    svg = line_plot_svg(
-        [r[0] for r in rows],
-        [("box_dim", dims),
-         ("delta_lo", [r[3] for r in rows])],
-        x_label="t", y_label="dimension",
-    )
-    with open(run.path("scan.svg"), "w", encoding="utf-8") as fh:
-        fh.write(svg)
+    series = [("box_dim", dims), ("delta_lo", [r[3] for r in rows])]
+    if any(math.isfinite(y) for _, ys in series for y in ys):
+        svg = line_plot_svg([r[0] for r in rows], series,
+                            x_label="t", y_label="dimension")
+        with open(run.path("scan.svg"), "w", encoding="utf-8") as fh:
+            fh.write(svg)
+    else:
+        print("note: no grid point gave a finite box dimension or delta "
+              "bound; scan.svg not written")
     flagged = sum(1 for r in rows if r[6])
     print(f"scanned {len(rows)} grid points; max adjacent jump "
           f"{max_jump:.4f}; {flagged} flagged")
@@ -575,12 +577,8 @@ def _cmd_report(args, run: _Run) -> int:
             f"quick bound: delta >= {b.value:g} ({b.reason}, "
             f"certified {b.certified})"
         )
-    cloud = attractor_points_fixedpoint(cfg, args.depth)
-    est = box_dimension(cloud)
-    bracket = critical_exponent_bracket(cfg, depth=min(args.depth, 12),
-                                        tol=args.tol)
-    verdict = _verdict(est.value, bracket.lo, bracket.hi)
-    plo, phi = min(1.0, bracket.lo), min(1.0, bracket.hi)
+    cloud, est, bracket, (plo, phi), verdict = _formula_check(
+        cfg, args.depth, args.tol)
     lines.append(
         f"box dimension {est.value:.4f} +- {est.stderr:.4f} "
         f"({len(cloud)} directions at depth {args.depth})"
@@ -682,6 +680,9 @@ def run_command(argv) -> int:
     run = _Run(args.command, args)
     try:
         code = _COMMANDS[args.command][0](args, run)
+    except PivotNotFoundError as exc:
+        print(f"inconclusive: {exc}")
+        code = 2
     except (ProjIFSError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, BudgetExceededError):

@@ -432,32 +432,29 @@ def almost_mult_constant(
     )
 
 
+def _split_norms(cfg: SystemConfig, total_depth: int):
+    """(||A_vw||, ||A_v|| ||A_w||) as two arrays over the words vw of each
+    length n in 2..total_depth, one pair per split point |v| in 1..n-1."""
+    table = cfg.table
+    for n in range(2, total_depth + 1):
+        for m in range(1, n):
+            yield table.norms(n), np.outer(
+                table.norms(m), table.norms(n - m)).ravel()
+
+
 def empirical_almost_mult(cfg: SystemConfig, total_depth: int = 8) -> float:
     """Observed min of ||A_v A_w|| / (||A_v|| ||A_w||) over all splits of all
-    words up to total_depth.  Diagnostic only; never feeds a certificate."""
-    table = cfg.table
-    best = 1.0
-    for n in range(2, total_depth + 1):
-        whole = table.norms(n)
-        for m in range(1, n):
-            left = table.norms(m)
-            right = table.norms(n - m)
-            denom = np.outer(left, right).ravel()
-            best = min(best, float((whole / denom).min()))
-    return best
+    words up to total_depth, capped at 1.  Diagnostic only; never feeds a
+    certificate."""
+    return min([1.0] + [float((whole / denom).min())
+                        for whole, denom in _split_norms(cfg, total_depth)])
 
 
 def verify_almost_mult(cfg: SystemConfig, c: float, total_depth: int = 6) -> int:
     """Count violations of ||A_v A_w|| >= c ||A_v|| ||A_w|| over every split
     of every word up to total_depth (0 for a sound constant)."""
-    table = cfg.table
-    bad = 0
-    for n in range(2, total_depth + 1):
-        whole = table.norms(n)
-        for m in range(1, n):
-            denom = np.outer(table.norms(m), table.norms(n - m)).ravel()
-            bad += int((whole < c * denom * (1.0 - 1e-12)).sum())
-    return bad
+    return sum(int((whole < c * denom * (1.0 - 1e-12)).sum())
+               for whole, denom in _split_norms(cfg, total_depth))
 
 
 # ---------------------------------------------------------------------------
@@ -474,12 +471,8 @@ class GrowthEstimate:
 
 
 def _growth_estimate(cfg: SystemConfig, depth: int) -> GrowthEstimate:
-    ns, mins = [], []
-    for n in range(1, depth + 1):
-        if cfg.k ** n > 262144:
-            break
-        ns.append(n)
-        mins.append(cfg.table.min_norm(n))
+    ns = range(1, cfg.table.depth_within(262144, depth) + 1)
+    mins = [cfg.table.min_norm(n) for n in ns]
     logs = np.log(mins)
     if len(ns) >= 2:
         slope, _ = np.polyfit(ns, logs, 1)
@@ -581,9 +574,7 @@ def certify_semidiscrete(cfg: SystemConfig, depth: int = 10) -> SDCertificate:
             SDStatus.CERTIFIED_VIA_INVARIANT_SET,
             cone, math.inf, math.inf, tuple(notes),
         )
-    scan_depth = depth
-    while cfg.k ** scan_depth > _EXACT_PAIR_LIMIT and scan_depth > 1:
-        scan_depth -= 1
+    scan_depth = cfg.table.depth_within(_EXACT_PAIR_LIMIT, depth)
     prof = discreteness_profile(cfg, scan_depth)
     to_id = prof.final_min_to_identity
     pairwise = prof.final_min_pairwise

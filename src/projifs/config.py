@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ConfigError, DegenerateMatrixError
-from .geometry import NORM_KINDS, OP2, Matrix2
+from .geometry import IDENTITY2, NORM_KINDS, OP2, Matrix2
 from .semigroup import DEFAULT_DEPTH_CAP, SystemConfig
 
 _DET_WARN = 1e-9
@@ -70,7 +70,9 @@ def _split_sections(text: str):
     return keyed, blocks
 
 
-def _parse_common(keyed, blocks):
+def _checked_system(keyed, matrices, source_rows=None) -> SystemConfig:
+    """The matrices with the file's probs, norm, depth_cap and seed, passed
+    through SystemConfig's checks; a failed check is a ConfigError."""
     probs = None
     if "probs" in keyed:
         value, line_no = keyed["probs"]
@@ -100,7 +102,11 @@ def _parse_common(keyed, blocks):
                 ) from None
             if key == "seed" and extra[key] < 0:
                 raise ConfigError("seed must be non-negative", line=line_no)
-    return probs, norm, extra
+    try:
+        return SystemConfig(matrices=tuple(matrices), probs=probs, norm=norm,
+                            source_rows=source_rows, **extra)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _row_matrix(tokens: tuple[str, str, str, str], line_no: int) -> Matrix2:
@@ -146,26 +152,21 @@ def parse_config_text(text: str) -> SystemConfig:
         source.append(toks)
     if not rows:
         raise ConfigError("matrices block is empty")
-    probs, norm, extra = _parse_common(keyed, blocks)
-    try:
-        return SystemConfig(
-            matrices=tuple(rows),
-            probs=probs,
-            norm=norm,
-            source_rows=tuple(source),
-            **extra,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    return _checked_system(keyed, rows, tuple(source))
 
 
-def parse_config(path) -> SystemConfig:
+def _read(path, parse_text):
+    """parse_text of the file's text; a ConfigError names the file."""
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
     try:
-        return parse_config_text(text)
+        return parse_text(text)
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from None
+
+
+def parse_config(path) -> SystemConfig:
+    return _read(path, parse_config_text)
 
 
 def emit_config(cfg: SystemConfig) -> str:
@@ -307,16 +308,14 @@ def parse_family_text(text: str) -> FamilyConfig:
         raise ConfigError("grid needs lo < hi and count >= 2", line=line_no)
     step = (hi - lo) / (count - 1)
     grid = tuple(lo + i * step for i in range(count))
-    probs, norm, extra = _parse_common(keyed, blocks)
+    # a system of one identity letter per family row carries the settings
+    # through the checks every member would otherwise fail one by one
+    checked = _checked_system(keyed, (IDENTITY2,) * len(rows))
     return FamilyConfig(
-        entries=tuple(rows), grid=grid, probs=probs, norm=norm, **extra
+        entries=tuple(rows), grid=grid, probs=checked.probs,
+        norm=checked.norm, depth_cap=checked.depth_cap, seed=checked.seed,
     )
 
 
 def parse_family(path) -> FamilyConfig:
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
-    try:
-        return parse_family_text(text)
-    except ConfigError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
+    return _read(path, parse_family_text)

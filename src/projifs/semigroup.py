@@ -206,6 +206,15 @@ class ProductTable:
     def min_norm(self, n: int) -> float:
         return float(self.norms(n).min())
 
+    def depth_within(self, words: int, cap: int) -> int:
+        """The deepest level n <= cap whose k^n words fit the budget
+        `words`, and at least 1: the one rule that turns a word budget into
+        a level depth."""
+        n = 1
+        while n < cap and self.k ** (n + 1) <= words:
+            n += 1
+        return n
+
 
 # ---------------------------------------------------------------------------
 # Left-invariant metric on SL(2).
@@ -464,9 +473,7 @@ def first_collision_depth(cfg: SystemConfig, depth: int) -> int | None:
     """First n in 2..min(depth, 11) at which distinct length-n words repeat a
     matrix (an exact collision of _pairwise_min), among levels of at most
     2,048 words; None if none does.  A repeat means the system is not free."""
-    for n in range(2, min(depth, 11) + 1):
-        if cfg.k ** n > 2048:
-            break
+    for n in range(2, cfg.table.depth_within(2048, min(depth, 11)) + 1):
         if _pairwise_min(cfg.table.level(n))[1]:
             return n
     return None

@@ -276,9 +276,7 @@ class QuickBound:
 def _parabolic_word(cfg: SystemConfig):
     """Shortest word of length at most _PARABOLIC_DEPTH whose product is
     parabolic but not +-identity."""
-    for n in range(1, _PARABOLIC_DEPTH + 1):
-        if cfg.k ** n > 65536:
-            break
+    for n in range(1, cfg.table.depth_within(65536, _PARABOLIC_DEPTH) + 1):
         idx = np.flatnonzero(classify_array(cfg.table.level(n))[1])
         if idx.size:
             return cfg.table.word(n, int(idx[0]))

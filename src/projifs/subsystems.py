@@ -380,9 +380,7 @@ def find_pivot(cfg: SystemConfig, depth: int = 4) -> Pivot:
             "pivot construction needs an irreducible system; "
             "the letters share a fixed direction"
         )
-    cloud_depth = 1
-    while cfg.k ** (cloud_depth + 1) <= 4096 and cloud_depth < 12:
-        cloud_depth += 1
+    cloud_depth = cfg.table.depth_within(4096, 12)
     att = attractor_points_fixedpoint(cfg, cloud_depth)
     rep = repeller_points_fixedpoint(cfg, cloud_depth)
     if len(att) == 0 or len(rep) == 0:
@@ -525,9 +523,7 @@ def gamma_lower_bound(
         1, int(math.log(_SAFE_PRODUCT_NORM) / math.log(max(top, 2.0)))
     )
     if depth is None:
-        depth = 1
-        while len(letters) ** (depth + 1) <= _GAMMA_BUDGET and depth < 12:
-            depth += 1
+        depth = gamma_cfg.table.depth_within(_GAMMA_BUDGET, 12)
     clamped = depth > norm_cap
     depth = min(depth, norm_cap)
     # every kept letter maps U into U' inside U, checked letter by letter

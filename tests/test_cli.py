@@ -146,6 +146,17 @@ class TestExitCodes:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["pivot", "lower-bound"])
+    def test_pivot_not_found_is_inconclusive(self, tmp_path, capsys, command):
+        code = run_command(
+            [command, "--config", cfg_path("elliptic_mix.cfg"),
+             "--out", str(tmp_path)]
+        )
+        assert code == 2
+        assert capsys.readouterr().out.startswith("inconclusive: ")
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["partial"] is False
+
     def test_pivot_on_reducible_config_errors(self, tmp_path, capsys):
         code = run_command(
             ["pivot", "--config", cfg_path("shared_fixed_pair.cfg"),
@@ -467,6 +478,36 @@ grid: 0 0.3 4
         rows = read_rows(out / "scan.csv")
         assert all(r["flags"] == "" for r in rows)
         assert all(r["status"] == "ok" for r in rows)
+
+    def test_inverse_pair_flagged_sd_refuted(self, tmp_path):
+        # the two letters are inverses of each other at every t
+        fam = tmp_path / "fam.cfg"
+        fam.write_text("family:\n  2 t 0 1/2\n  1/2 -t 0 2\ngrid: 0 1 5\n")
+        out = tmp_path / "out"
+        assert run_command(
+            ["scan-continuity", "--config", str(fam), "--depth", "8",
+             "--out", str(out)]
+        ) == 0
+        rows = read_rows(out / "scan.csv")
+        assert [(r["status"], r["flags"]) for r in rows] \
+            == [("ok", "sd-refuted")] * 5
+
+    def test_no_finite_value_skips_the_plot(self, tmp_path, capsys):
+        # t = 0 is singular, and t = 1 is the identity, whose cloud is empty
+        fam = tmp_path / "fam.cfg"
+        fam.write_text("family:\n  t 0 0 t\ngrid: 0 1 2\n")
+        out = tmp_path / "out"
+        assert run_command(
+            ["scan-continuity", "--config", str(fam), "--out", str(out)]
+        ) == 0
+        rows = read_rows(out / "scan.csv")
+        assert [r["status"].split(":")[0] for r in rows] \
+            == ["error", "degenerate"]
+        assert not (out / "scan.svg").exists()
+        assert "scan.svg not written" in capsys.readouterr().out
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["outputs"] == ["scan.csv"]
+        assert manifest["partial"] is False
 
 
 class TestManifest:

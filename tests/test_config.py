@@ -210,6 +210,14 @@ grid: 0.5 1.5 5
         with pytest.raises(ConfigError):
             parse_family_text("matrices:\n  2 0 0 1/2\n")
 
+    @pytest.mark.parametrize("line, message", [
+        ("probs: 1", "probs length must match alphabet size"),
+        ("depth_cap: 0", "depth_cap must be positive"),
+    ])
+    def test_settings_get_the_config_checks(self, line, message):
+        with pytest.raises(ConfigError, match=message):
+            parse_family_text(self.TEXT + line + "\n")
+
     def test_degenerate_member_reported(self):
         fam = parse_family_text("family:\n  t 0 0 t\ngrid: 0 1 3\n")
         with pytest.raises(ConfigError, match="t=0"):

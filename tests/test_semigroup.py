@@ -107,6 +107,65 @@ class TestProductTable:
         det = lev[:, 0, 0] * lev[:, 1, 1] - lev[:, 0, 1] * lev[:, 1, 0]
         assert np.max(np.abs(det - 1.0)) < 1e-12
 
+    def test_depth_within_edges(self):
+        # one letter: every level has one word, so the cap decides
+        assert ProductTable(SystemConfig(matrices=(DIAG2,))).depth_within(
+            1, 30) == 30
+        table = ProductTable(SystemConfig(matrices=(DIAG2, SHEAR, HALF_DIAG)))
+        # a budget below k still gives level 1
+        assert table.depth_within(2, 10) == 1
+        assert table.depth_within(26, 10) == 2
+        assert table.depth_within(27, 10) == 3
+        assert table.depth_within(10 ** 9, 1) == 1
+
+    @pytest.mark.parametrize("k", range(1, 6))
+    def test_depth_within_matches_the_loops_it_replaced(self, k):
+        table = ProductTable(SystemConfig(matrices=(DIAG2,) * k))
+        for cap in range(1, 15):
+            new = (
+                list(range(2, table.depth_within(2048, min(cap, 11)) + 1)),
+                table.depth_within(4096, cap),
+                list(range(1, table.depth_within(262144, cap) + 1)),
+                list(range(1, table.depth_within(65536, cap) + 1)),
+                table.depth_within(4096, cap),
+                table.depth_within(260_000, cap),
+            )
+            assert new == _budget_loops(k, cap), cap
+
+
+def _budget_loops(k, cap):
+    """The level-budget loops that ProductTable.depth_within replaced, as
+    they read in first_collision_depth, certify_semidiscrete,
+    _growth_estimate, _parabolic_word, find_pivot (the cloud depth) and
+    gamma_lower_bound (the default depth), each with `cap` in place of its
+    own cap: the levels each scanned, or the depth each chose."""
+    collision = []
+    for n in range(2, min(cap, 11) + 1):
+        if k ** n > 2048:
+            break
+        collision.append(n)
+    scan_depth = cap
+    while k ** scan_depth > 4096 and scan_depth > 1:
+        scan_depth -= 1
+    growth = []
+    for n in range(1, cap + 1):
+        if k ** n > 262144:
+            break
+        growth.append(n)
+    parabolic = []
+    for n in range(1, cap + 1):
+        if k ** n > 65536:
+            break
+        parabolic.append(n)
+    cloud_depth = 1
+    while k ** (cloud_depth + 1) <= 4096 and cloud_depth < cap:
+        cloud_depth += 1
+    gamma_depth = 1
+    while k ** (gamma_depth + 1) <= 260_000 and gamma_depth < cap:
+        gamma_depth += 1
+    return (collision, scan_depth, growth, parabolic, cloud_depth,
+            gamma_depth)
+
 
 class TestMetric:
     def test_diag_distance_exact(self):
