@@ -66,6 +66,8 @@ from .cones import (
     SDStatus,
     certify_semidiscrete,
     certify_uniform_hyperbolicity,
+    sd_refuted,
+    sd_status,
 )
 from .config import emit_config, parse_config, parse_family
 from .errors import (
@@ -496,13 +498,13 @@ def _cmd_reduce(args, run: _Run) -> int:
 
 
 def _scan_row(cfg, depth: int, tol: float):
+    """One grid point's box dimension, bracket and flags.  `sd-refuted`
+    comes from sd_refuted alone, so the cone search runs only at points whose
+    products reach +-identity, and no discreteness profile is built."""
     cloud = attractor_points_fixedpoint(cfg, depth)
     est = box_dimension(cloud)
     bracket = critical_exponent_bracket(cfg, depth=min(depth, 10), tol=tol)
-    sd = certify_semidiscrete(cfg, depth=min(depth, 8))
-    flags = []
-    if sd.status is SDStatus.REFUTED_VIA_IDENTITY_APPROACH:
-        flags.append("sd-refuted")
+    flags = ["sd-refuted"] if sd_refuted(cfg, min(depth, 8)) else []
     return est, bracket, flags
 
 
@@ -569,9 +571,9 @@ def _cmd_report(args, run: _Run) -> int:
         "reducible (shared fixed direction)" if shared else "irreducible"
     )
     uh = certify_uniform_hyperbolicity(cfg, depth=args.depth)
-    sd = certify_semidiscrete(cfg, depth=args.depth)
+    sd = sd_status(cfg, args.depth)
     lines.append(f"uniform hyperbolicity: {uh.status.value}")
-    lines.append(f"semidiscreteness: {sd.status.value}")
+    lines.append(f"semidiscreteness: {sd.value}")
     for b in quick_lower_bounds(cfg):
         lines.append(
             f"quick bound: delta >= {b.value:g} ({b.reason}, "
@@ -592,7 +594,7 @@ def _cmd_report(args, run: _Run) -> int:
     _write_csv(run.path("report.csv"),
                ("alphabet", "uh_status", "sd_status", "box_dim", "delta_lo",
                 "delta_hi", "predicted_lo", "predicted_hi", "verdict"),
-               [(cfg.k, uh.status.value, sd.status.value, est.value,
+               [(cfg.k, uh.status.value, sd.value, est.value,
                  bracket.lo, bracket.hi, plo, phi, verdict)])
     print(text, end="")
     return 0

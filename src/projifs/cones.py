@@ -32,7 +32,8 @@ from .geometry import (
     proj_act,
     singular_directions,
 )
-from .semigroup import _EXACT_PAIR_LIMIT, SystemConfig, discreteness_profile
+from .semigroup import (_EXACT_PAIR_LIMIT, SystemConfig, _dists_to_identity,
+                        discreteness_profile)
 
 _HALF_PI = PI / 2.0
 
@@ -555,43 +556,64 @@ class SDCertificate:
         return self.status is not SDStatus.EVIDENCE_ONLY
 
 
+def identity_approach(cfg: SystemConfig, depth: int) -> float:
+    """Closest approach to +-identity of the products of the levels that
+    certify_semidiscrete profiles: its min_dist_to_identity, with no
+    pairwise scan."""
+    n = cfg.table.depth_within(_EXACT_PAIR_LIMIT, depth)
+    return min(float(_dists_to_identity(cfg.table.level(m)).min())
+               for m in range(1, n + 1))
+
+
+def sd_refuted(cfg: SystemConfig, depth: int) -> bool:
+    """No multicone, and products within _IDENTITY_TOL of +-identity.  The
+    cone search runs only where products reach +-identity."""
+    return (identity_approach(cfg, depth) < _IDENTITY_TOL
+            and not find_invariant_multicone(cfg).found)
+
+
+def sd_status(cfg: SystemConfig, depth: int) -> SDStatus:
+    """A strictly invariant multicone certifies semidiscreteness, sd_refuted
+    refutes it, and everything else stays evidence."""
+    if find_invariant_multicone(cfg).found:
+        return SDStatus.CERTIFIED_VIA_INVARIANT_SET
+    if sd_refuted(cfg, depth):
+        return SDStatus.REFUTED_VIA_IDENTITY_APPROACH
+    return SDStatus.EVIDENCE_ONLY
+
+
 def certify_semidiscrete(cfg: SystemConfig, depth: int = 10) -> SDCertificate:
-    """A strictly invariant multicone certifies semidiscreteness; products
-    collapsing onto +-identity refute it; everything else stays evidence.
-    The strict-only flavor of invariance carries its tolerance as a note.
-    The exact scan behind the evidence stops at the deepest level of at
-    most _EXACT_PAIR_LIMIT words, or at depth 1.
+    """sd_status with its evidence: the cone, and without one the
+    discreteness profile's closest approaches to +-identity and between
+    products.  Only certify-sd builds this profile; scan-continuity reads
+    sd_refuted alone, whose cone search runs only where products reach
+    +-identity.  The strict-only flavor of invariance carries its tolerance
+    as a note.  The exact scan behind the evidence stops at the deepest
+    level of at most _EXACT_PAIR_LIMIT words, or at depth 1.
     """
-    notes = []
+    status = sd_status(cfg, depth)
     cone = find_invariant_multicone(cfg)
-    if cone.found:
+    notes = []
+    if status is SDStatus.CERTIFIED_VIA_INVARIANT_SET:
         if cone.kind is ConeKind.STRICT_ONLY:
             notes.append(
                 f"strict invariance verified at tolerance {_CONE_EPS}; margin "
                 f"{cone.margin:.2e}"
             )
-        return SDCertificate(
-            SDStatus.CERTIFIED_VIA_INVARIANT_SET,
-            cone, math.inf, math.inf, tuple(notes),
-        )
+        return SDCertificate(status, cone, math.inf, math.inf, tuple(notes))
     scan_depth = cfg.table.depth_within(_EXACT_PAIR_LIMIT, depth)
     prof = discreteness_profile(cfg, scan_depth)
     to_id = prof.final_min_to_identity
     pairwise = prof.final_min_pairwise
-    if to_id < _IDENTITY_TOL:
+    if status is SDStatus.REFUTED_VIA_IDENTITY_APPROACH:
         notes.append(
             f"products reach +-identity within {to_id:.1e} by depth {scan_depth}"
         )
-        return SDCertificate(
-            SDStatus.REFUTED_VIA_IDENTITY_APPROACH,
-            cone, to_id, pairwise, tuple(notes),
-        )
-    notes.extend(cone.notes)
-    if pairwise < 1e-3:
-        notes.append(
-            f"distinct products approach each other ({pairwise:.2e}); "
-            "accumulation suggests a non-semidiscrete system"
-        )
-    return SDCertificate(
-        SDStatus.EVIDENCE_ONLY, cone, to_id, pairwise, tuple(notes)
-    )
+    else:
+        notes.extend(cone.notes)
+        if pairwise < 1e-3:
+            notes.append(
+                f"distinct products approach each other ({pairwise:.2e}); "
+                "accumulation suggests a non-semidiscrete system"
+            )
+    return SDCertificate(status, cone, to_id, pairwise, tuple(notes))

@@ -122,7 +122,8 @@ def _row_matrix(tokens: tuple[str, str, str, str], line_no: int) -> Matrix2:
         )
     if abs(det - 1.0) > _DET_WARN:
         warnings.warn(
-            f"config line {line_no}: determinant {det:.6g} renormalized to 1",
+            f"config line {line_no}: determinant differs from 1 by "
+            f"{det - 1.0:.2e}; renormalized to 1",
             stacklevel=3,
         )
     try:

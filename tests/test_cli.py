@@ -27,6 +27,20 @@ def read_rows(path: Path) -> list[dict]:
         return list(csv.DictReader(fh))
 
 
+def _record_calls(monkeypatch, original, calls: list) -> None:
+    """Append (name, args after the config) to `calls` on every call of the
+    projifs function `original`, through whichever module it is called."""
+    name = original.__name__
+    for module_name, module in list(sys.modules.items()):
+        if module_name.startswith("projifs") and \
+                getattr(module, name, None) is original:
+            monkeypatch.setattr(
+                module, name,
+                lambda cfg, *args: calls.append((name, *args))
+                or original(cfg, *args),
+            )
+
+
 class TestExitCodes:
     def test_unknown_subcommand(self):
         assert run_command(["frobnicate", "--config", "x"]) == 1
@@ -394,9 +408,23 @@ class TestCsvContracts:
         ) == 0
         assert bool(profiled) is scans
 
+    def test_report_profiles_no_deeper_than_the_accumulation_scan(
+        self, tmp_path, monkeypatch
+    ):
+        # the status needs only the cone and the distance to +-identity;
+        # the accumulation scan of a two-letter alphabet stops at depth 9
+        profiled = []
+        _record_calls(monkeypatch, semigroup.discreteness_profile, profiled)
+        assert run_command(
+            ["report", "--config", cfg_path("elliptic_mix.cfg"),
+             "--out", str(tmp_path)]
+        ) == 0
+        assert profiled
+        assert max(depth for _, depth in profiled) <= 9
+
     def test_report_scans_each_level_once(self, tmp_path, monkeypatch):
-        # certify-sd profiles to depth 10; the accumulation scan reads the
-        # first rows of that profile instead of scanning again
+        # the semidiscreteness status scans no pairs, so the accumulation
+        # scan's profile is the only one, and it scans each level once
         scanned = []
         scan = semigroup._pairwise_min
 
@@ -491,6 +519,21 @@ grid: 0 0.3 4
         rows = read_rows(out / "scan.csv")
         assert [(r["status"], r["flags"]) for r in rows] \
             == [("ok", "sd-refuted")] * 5
+
+    def test_bundled_hyperbolic_family_skips_the_discreteness_work(
+        self, tmp_path, monkeypatch
+    ):
+        # no product approaches +-identity, so the sd-refuted check stops
+        # before the cone search, and nothing profiles the pairs
+        calls = []
+        _record_calls(monkeypatch, cones.find_invariant_multicone, calls)
+        _record_calls(monkeypatch, semigroup.discreteness_profile, calls)
+        assert run_command(
+            ["scan-continuity", "--config",
+             cfg_path("family_hyperbolic_interior.cfg"), "--out",
+             str(tmp_path)]
+        ) == 0
+        assert calls == []
 
     def test_no_finite_value_skips_the_plot(self, tmp_path, capsys):
         # t = 0 is singular, and t = 1 is the identity, whose cloud is empty

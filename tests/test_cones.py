@@ -20,7 +20,10 @@ from projifs.cones import (
     containment_margin,
     empirical_almost_mult,
     find_invariant_multicone,
+    identity_approach,
     multicone_gap,
+    sd_refuted,
+    sd_status,
     verify_almost_mult,
 )
 from projifs.geometry import PI, Matrix2, MatrixClass, fixed_points, proj_act
@@ -343,3 +346,35 @@ def test_table_seeds_match_scalar_products(cfg, monkeypatch):
     kind = find_invariant_multicone(cfg).kind
     monkeypatch.setattr(cones, "_seed_points", _scalar_seeds)
     assert find_invariant_multicone(cfg).kind is kind
+
+
+def _family_members():
+    out = []
+    for stem in ("family_hyperbolic_interior", "family_identity_limit"):
+        family = parse_family(CONFIGS / f"{stem}.cfg")
+        out.extend(pytest.param(family.at(t), id=f"{stem}-{t:g}")
+                   for t in family.grid)
+    return out
+
+
+# rotations whose tenth power is -identity, exactly up to rounding or 1e-3
+# past it: products reach +-identity only at the deepest level of depth 10
+TENTH_TURNS = [
+    pytest.param(SystemConfig(matrices=(sl2_from_params(angle, 0.0, 0.0),)),
+                 id=f"tenth-turn-{name}")
+    for name, angle in (("exact", PI / 10), ("past", PI / 10 + 1e-4))
+]
+
+
+@pytest.mark.parametrize("depth", [8, 10])
+@pytest.mark.parametrize(
+    "cfg", _bundled_systems() + _family_members() + TENTH_TURNS
+)
+def test_sd_status_matches_the_certificate(cfg, depth):
+    status = sd_status(cfg, depth)
+    refuted = sd_refuted(cfg, depth)
+    cert = certify_semidiscrete(cfg, depth)
+    assert status is cert.status
+    assert refuted is (cert.status is SDStatus.REFUTED_VIA_IDENTITY_APPROACH)
+    if not cert.cone.found:
+        assert identity_approach(cfg, depth) == cert.min_dist_to_identity

@@ -50,6 +50,15 @@ class TestParseConfig:
         assert cfg.matrices[0].a == pytest.approx(2.0 * s, rel=1e-15)
         assert cfg.matrices[0].d == pytest.approx(s, rel=1e-15)
 
+    def test_determinant_warning_shows_a_small_deviation(self):
+        # det - 1 = 1e-7 is past the 1e-9 warning threshold but vanishes
+        # in six significant digits
+        with pytest.warns(UserWarning, match="renormalized") as caught:
+            parse_config_text("matrices:\n  1.0000001 0 0 1\n")
+        text = str(caught[0].message)
+        assert "determinant 1 " not in text
+        assert "1.00e-07" in text
+
     def test_short_row_rejected(self):
         with pytest.raises(ConfigError, match="3 numbers"):
             parse_config_text("matrices:\n  1 0 0\n")
