@@ -39,7 +39,6 @@ from .config import (
     parse_config_text,
     parse_family,
     parse_family_text,
-    write_config,
 )
 from .errors import (
     BudgetExceededError,
@@ -81,6 +80,7 @@ from .semigroup import (
     common_fixed_points,
     diophantine_profile,
     discreteness_profile,
+    identity_approach,
     left_invariant_dist,
     word_product,
 )

@@ -32,8 +32,8 @@ from .geometry import (
     proj_act,
     singular_directions,
 )
-from .semigroup import (_EXACT_PAIR_LIMIT, SystemConfig, _dists_to_identity,
-                        discreteness_profile)
+from .semigroup import (_EXACT_PAIR_LIMIT, SystemConfig, discreteness_profile,
+                        identity_approach)
 
 _HALF_PI = PI / 2.0
 
@@ -556,15 +556,6 @@ class SDCertificate:
         return self.status is not SDStatus.EVIDENCE_ONLY
 
 
-def identity_approach(cfg: SystemConfig, depth: int) -> float:
-    """Closest approach to +-identity of the products of the levels that
-    certify_semidiscrete profiles: its min_dist_to_identity, with no
-    pairwise scan."""
-    n = cfg.table.depth_within(_EXACT_PAIR_LIMIT, depth)
-    return min(float(_dists_to_identity(cfg.table.level(m)).min())
-               for m in range(1, n + 1))
-
-
 def sd_refuted(cfg: SystemConfig, depth: int) -> bool:
     """No multicone, and products within _IDENTITY_TOL of +-identity.  The
     cone search runs only where products reach +-identity."""
@@ -583,13 +574,14 @@ def sd_status(cfg: SystemConfig, depth: int) -> SDStatus:
 
 
 def certify_semidiscrete(cfg: SystemConfig, depth: int = 10) -> SDCertificate:
-    """sd_status with its evidence: the cone, and without one the
-    discreteness profile's closest approaches to +-identity and between
-    products.  Only certify-sd builds this profile; scan-continuity reads
-    sd_refuted alone, whose cone search runs only where products reach
-    +-identity.  The strict-only flavor of invariance carries its tolerance
-    as a note.  The exact scan behind the evidence stops at the deepest
-    level of at most _EXACT_PAIR_LIMIT words, or at depth 1.
+    """sd_status with its evidence: the cone, and without one the closest
+    approach to +-identity (identity_approach) and the discreteness
+    profile's closest pair of products.  Only certify-sd builds this
+    profile; scan-continuity reads sd_refuted alone, whose cone search runs
+    only where products reach +-identity.  The strict-only flavor of
+    invariance carries its tolerance as a note, and an accumulating profile
+    (DiscretenessProfile.accumulates) one of its own.  Both scans stop at
+    the deepest level of at most _EXACT_PAIR_LIMIT words, or at depth 1.
     """
     status = sd_status(cfg, depth)
     cone = find_invariant_multicone(cfg)
@@ -603,7 +595,7 @@ def certify_semidiscrete(cfg: SystemConfig, depth: int = 10) -> SDCertificate:
         return SDCertificate(status, cone, math.inf, math.inf, tuple(notes))
     scan_depth = cfg.table.depth_within(_EXACT_PAIR_LIMIT, depth)
     prof = discreteness_profile(cfg, scan_depth)
-    to_id = prof.final_min_to_identity
+    to_id = identity_approach(cfg, depth)
     pairwise = prof.final_min_pairwise
     if status is SDStatus.REFUTED_VIA_IDENTITY_APPROACH:
         notes.append(
@@ -611,7 +603,7 @@ def certify_semidiscrete(cfg: SystemConfig, depth: int = 10) -> SDCertificate:
         )
     else:
         notes.extend(cone.notes)
-        if pairwise < 1e-3:
+        if prof.accumulates:
             notes.append(
                 f"distinct products approach each other ({pairwise:.2e}); "
                 "accumulation suggests a non-semidiscrete system"

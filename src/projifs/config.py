@@ -196,11 +196,6 @@ def emit_config(cfg: SystemConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_config(cfg: SystemConfig, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(emit_config(cfg))
-
-
 # ---------------------------------------------------------------------------
 # Parameterized families.
 

@@ -49,9 +49,9 @@ DEFAULT_DEPTH_CAP = 22
 
 #: Largest level the exact pairwise scan takes on a caller's behalf:
 #: diophantine_profile scans larger levels by a sorted window (_window_scan),
-#: and certify_semidiscrete profiles no level larger than this.  A direct
-#: call of _pairwise_min or discreteness_profile on a larger level is still
-#: exact, at a cost quadratic in its rows.
+#: and certify_semidiscrete and identity_approach read no level larger than
+#: this.  A direct call of _pairwise_min or discreteness_profile on a larger
+#: level is still exact, at a cost quadratic in its rows.
 _EXACT_PAIR_LIMIT = 4096
 
 _WINDOW = 64
@@ -63,6 +63,9 @@ _SWEEP_DIRECTION /= np.linalg.norm(_SWEEP_DIRECTION)
 
 #: Pairs the pairwise scan builds and evaluates at once.
 _SWEEP_CHUNK = 1 << 15
+
+#: Pairwise minimum below which distinct products count as accumulating.
+_ACCUMULATION_TOL = 1e-3
 
 _EPS = float(np.finfo(float).eps)
 
@@ -290,6 +293,15 @@ def _dists_to_identity(arr: np.ndarray) -> np.ndarray:
     return np.minimum(plus, minus)
 
 
+def identity_approach(cfg: SystemConfig, depth: int) -> float:
+    """Closest approach to +-identity of the products of levels 1..n, n the
+    deepest level up to depth of at most _EXACT_PAIR_LIMIT words: the levels
+    that certify_semidiscrete profiles."""
+    n = cfg.table.depth_within(_EXACT_PAIR_LIMIT, depth)
+    return min(float(_dists_to_identity(cfg.table.level(m)).min())
+               for m in range(1, n + 1))
+
+
 def _pairwise_min(
     stack: np.ndarray, head: int | None = None
 ) -> tuple[float, int]:
@@ -351,7 +363,39 @@ def _pairwise_min(
     head = n - 1 if head is None else min(head, n - 1)
     if head <= 0:
         return math.inf, 0
-    return _filtered_scan(stack, head)
+    rows = stack.reshape(-1, 4)
+    f2, eta = _norm_and_drift(stack)
+    adj = _adjugates(stack[:head])
+    w = _half_trace_weights(stack)
+
+    # seed pairs: neighbours in projection order, as (first, then) with
+    # first < then, kept when first < head and sorted by first
+    order = np.argsort(rows @ _SWEEP_DIRECTION)
+    first, then = np.sort([order[:-1], order[1:]], axis=0)
+    seeded = first < head
+    first, then = first[seeded], then[seeded]
+    by_row = np.argsort(first, kind="stable")
+    first, then = first[by_row], then[by_row]
+    best, hits = _evaluate(adj, first, stack, then)
+
+    lo = 0
+    while lo < head:
+        start = lo + 1
+        hi = min(head, lo + max(1, _SWEEP_CHUNK // (n - start)))
+        t = rows[lo:hi] @ w[start:].T
+        t_lo, t_hi = _half_trace_window(max(best, COLLISION_TOL), f2, eta)
+        keep = ~((t < t_lo) | (t > t_hi))
+        # pairs inside the block need j > i; later columns all follow it
+        inside = np.arange(start, hi) > np.arange(lo, hi)[:, None]
+        keep[:, :hi - start] &= inside
+        block = slice(*np.searchsorted(first, [lo, hi]))
+        keep[first[block] - lo, then[block] - start] = False
+        i, j = np.nonzero(keep)
+        d, h = _evaluate(adj, i + lo, stack, j + start)
+        best = min(best, d)
+        hits += h
+        lo = hi
+    return best, hits
 
 
 def _half_trace_window(tau: float, f2: float, eta: float) -> tuple[float, float]:
@@ -407,45 +451,6 @@ def _half_trace_weights(stack: np.ndarray) -> np.ndarray:
     """Rows w_B with half-trace(adj(A) @ B) = (a, b, c, d)_A . w_B, that is
     w_B = (d, -c, -b, a)_B / 2."""
     return stack.reshape(-1, 4)[:, ::-1] * np.array([0.5, -0.5, -0.5, 0.5])
-
-
-def _filtered_scan(stack: np.ndarray, head: int) -> tuple[float, int]:
-    """Every pair of _pairwise_min's scan, evaluated only inside the
-    half-trace window, and none twice; 0 < head < len(stack)."""
-    rows = stack.reshape(-1, 4)
-    f2, eta = _norm_and_drift(stack)
-    adj = _adjugates(stack[:head])
-    w = _half_trace_weights(stack)
-
-    # seed pairs: neighbours in projection order, as (first, then) with
-    # first < then, kept when first < head and sorted by first
-    order = np.argsort(rows @ _SWEEP_DIRECTION)
-    first, then = np.sort([order[:-1], order[1:]], axis=0)
-    seeded = first < head
-    first, then = first[seeded], then[seeded]
-    by_row = np.argsort(first, kind="stable")
-    first, then = first[by_row], then[by_row]
-    best, hits = _evaluate(adj, first, stack, then)
-
-    n = len(stack)
-    lo = 0
-    while lo < head:
-        start = lo + 1
-        hi = min(head, lo + max(1, _SWEEP_CHUNK // (n - start)))
-        t = rows[lo:hi] @ w[start:].T
-        t_lo, t_hi = _half_trace_window(max(best, COLLISION_TOL), f2, eta)
-        keep = ~((t < t_lo) | (t > t_hi))
-        # pairs inside the block need j > i; later columns all follow it
-        inside = np.arange(start, hi) > np.arange(lo, hi)[:, None]
-        keep[:, :hi - start] &= inside
-        block = slice(*np.searchsorted(first, [lo, hi]))
-        keep[first[block] - lo, then[block] - start] = False
-        i, j = np.nonzero(keep)
-        d, h = _evaluate(adj, i + lo, stack, j + start)
-        best = min(best, d)
-        hits += h
-        lo = hi
-    return best, hits
 
 
 def _window_scan(level: np.ndarray) -> tuple[float, int]:
@@ -546,40 +551,36 @@ def diophantine_profile(cfg: SystemConfig, depth: int) -> DiophantineProfile:
 
 
 @dataclass(frozen=True)
-class DiscretenessRow:
-    depth: int
-    word_count: int
-    min_dist_to_identity: float
-    min_pairwise: float
-    collisions: int
-
-
-@dataclass(frozen=True)
 class DiscretenessProfile:
     """Evidence about semidiscreteness from finite enumeration.
 
-    Per depth: the closest approach of any product to +-identity, and the
-    closest pair among all distinct products seen so far (any lengths, exact
-    collisions excluded).  Approach of the pairwise minimum to zero is the
-    accumulation signature of a non-semidiscrete system; approach to
-    identity refutes outright.  Every value is exact, at any depth: the
-    scan of a level against itself and the shorter products costs time
-    quadratic in their number, so certify_semidiscrete stops at the last
-    level of at most _EXACT_PAIR_LIMIT words.
+    Row n holds the closest pair among all distinct products of lengths
+    1..n (exact collisions excluded), so min_dist never grows with depth,
+    and the exact collisions of level n within itself and against the
+    shorter levels.  Approach of the pairwise minimum to zero is the
+    accumulation signature of a non-semidiscrete system.  Every value is
+    exact, at any depth: the scan of a level against itself and the shorter
+    products costs time quadratic in their number, so certify_semidiscrete
+    stops at the last level of at most _EXACT_PAIR_LIMIT words.
     """
 
-    rows: tuple[DiscretenessRow, ...]
+    rows: tuple[SeparationRow, ...]
     total_collisions: int
 
     @property
     def final_min_pairwise(self) -> float:
-        return self.rows[-1].min_pairwise if self.rows else math.inf
+        return self.rows[-1].min_dist if self.rows else math.inf
 
     @property
-    def final_min_to_identity(self) -> float:
-        if not self.rows:
-            return math.inf
-        return min(r.min_dist_to_identity for r in self.rows)
+    def accumulates(self) -> bool:
+        """Distinct products come within _ACCUMULATION_TOL of each other,
+        and within a quarter of the depth-2 minimum (depth 1 for a one-row
+        profile) when that is finite."""
+        final = self.final_min_pairwise
+        if not final < _ACCUMULATION_TOL:
+            return False
+        first = self.rows[min(1, len(self.rows) - 1)].min_dist
+        return not math.isfinite(first) or final < 0.25 * first
 
 
 def discreteness_profile(cfg: SystemConfig, depth: int) -> DiscretenessProfile:
@@ -587,29 +588,19 @@ def discreteness_profile(cfg: SystemConfig, depth: int) -> DiscretenessProfile:
     level n within itself and against levels 1..n-1 in one _pairwise_min
     call, with no window, at a cost quadratic in the words up to depth n.
     Row n reads only levels 1..n, so a shallower profile is the first rows
-    of a deeper one: the deepest profile is kept in cfg.memo and shallower
-    requests read their prefix of it."""
-    kept = cfg.memo.get("discreteness")
-    if kept is not None and len(kept.rows) >= depth:
-        rows = kept.rows[:depth]
-        return DiscretenessProfile(
-            rows=rows, total_collisions=sum(r.collisions for r in rows)
-        )
+    of a deeper one."""
     rows = []
     pool = np.empty((0, 2, 2))
     running = math.inf
     collisions = 0
     for n in range(1, depth + 1):
         lev = cfg.table.level(n)
-        to_id = float(_dists_to_identity(lev).min())
         d, coll = _pairwise_min(np.concatenate([lev, pool]), head=len(lev))
         collisions += coll
         running = min(running, d)
-        rows.append(DiscretenessRow(n, len(lev), to_id, running, coll))
+        rows.append(SeparationRow(n, len(lev), running, coll))
         pool = np.concatenate([pool, lev])
-    prof = DiscretenessProfile(rows=tuple(rows), total_collisions=collisions)
-    cfg.memo["discreteness"] = prof
-    return prof
+    return DiscretenessProfile(rows=tuple(rows), total_collisions=collisions)
 
 
 # ---------------------------------------------------------------------------

@@ -34,8 +34,6 @@ from .semigroup import (
 #: whose submultiplicativity only holds with a factor 2.
 _LOG2 = math.log(2.0)
 
-_ACCUMULATION_TOL = 1e-3
-
 #: Largest exponent the bracket bisects up to.
 _S_MAX = 5.0
 
@@ -303,12 +301,7 @@ def _accumulation_evidence(cfg: SystemConfig) -> bool:
         while pool + cfg.k ** (depth + 1) <= 1024:
             depth += 1
             pool += cfg.k ** depth
-    prof = discreteness_profile(cfg, depth)
-    final = prof.final_min_pairwise
-    first = prof.rows[min(1, len(prof.rows) - 1)].min_pairwise
-    return final < _ACCUMULATION_TOL and (
-        not math.isfinite(first) or final < 0.25 * first
-    )
+    return discreteness_profile(cfg, depth).accumulates
 
 
 def quick_lower_bounds(cfg: SystemConfig) -> tuple[QuickBound, ...]:

@@ -12,7 +12,9 @@ import pytest
 
 from projifs import cli, cones, semigroup
 from projifs.cli import rerun_manifest, run_command
-from projifs.config import parse_config
+from projifs.config import emit_config, parse_config
+from projifs.geometry import Matrix2
+from projifs.semigroup import SystemConfig
 from projifs.svgplot import attractor_svg, line_plot_svg
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -451,6 +453,39 @@ class TestCsvContracts:
         assert "semidiscreteness: evidence-only" in lines
         assert ("quick bound: delta >= inf (accumulation-evidence, "
                 "certified False)") in lines
+
+    @pytest.mark.parametrize("name, noted", [
+        ("shared_fixed_pair", True),
+        ("shared_fixed_pair-inverse", True),
+        ("elliptic_mix", False),
+        # scaling_translation and its first letter turned by 5e-4: letters
+        # 7.1e-4 apart, below 1e-3, and no closer pair by depth 7
+        ("turned-letter", False),
+    ])
+    def test_certify_sd_notes_accumulation_exactly_when_report_does(
+        self, tmp_path, capsys, name, noted
+    ):
+        # both read DiscretenessProfile.accumulates, each at its own depth
+        if name == "turned-letter":
+            c, s = math.cos(5e-4), math.sin(5e-4)
+            letters = parse_config(cfg_path("scaling_translation.cfg")).matrices
+            cfg = SystemConfig(
+                matrices=letters + (letters[0] @ Matrix2(c, -s, s, c),))
+        else:
+            cfg = parse_config(cfg_path(name.removesuffix("-inverse") + ".cfg"))
+            if name.endswith("-inverse"):
+                cfg = cfg.inverse()
+        path = tmp_path / "system.cfg"
+        path.write_text(emit_config(cfg))
+        run_command(["certify-sd", "--config", str(path),
+                     "--out", str(tmp_path / "sd")])
+        out = capsys.readouterr().out
+        assert run_command(["report", "--config", str(path),
+                            "--out", str(tmp_path / "report")]) == 0
+        report = (tmp_path / "report" / "report.txt").read_text()
+        assert ("accumulation-evidence" in report) is noted
+        assert ("accumulation suggests a non-semidiscrete system" in out) \
+            is noted
 
     def test_diophantine_says_when_the_scan_is_windowed(self, tmp_path, capsys):
         path = cfg_path("inverse_pair.cfg")

@@ -20,14 +20,13 @@ from projifs.cones import (
     containment_margin,
     empirical_almost_mult,
     find_invariant_multicone,
-    identity_approach,
     multicone_gap,
     sd_refuted,
     sd_status,
     verify_almost_mult,
 )
 from projifs.geometry import PI, Matrix2, MatrixClass, fixed_points, proj_act
-from projifs.semigroup import SystemConfig, word_product
+from projifs.semigroup import SystemConfig, identity_approach, word_product
 
 from conftest import sl2_from_params
 
@@ -298,13 +297,20 @@ class TestSemidiscreteness:
         assert cert.status is SDStatus.EVIDENCE_ONLY
         assert not cert.decided
 
-    def test_profiles_no_level_past_the_exact_pair_limit(self):
+    def test_profiles_no_level_past_the_exact_pair_limit(self, monkeypatch):
         # 65 letters: level 2 has 4,225 words, more than _EXACT_PAIR_LIMIT
         cfg = SystemConfig(matrices=tuple(
             sl2_from_params(1.0 + 0.01 * j, 0.0, 0.0) for j in range(65)
         ))
-        certify_semidiscrete(cfg)
-        assert [r.depth for r in cfg.memo["discreteness"].rows] == [1]
+        depths = []
+        profile = cones.discreteness_profile
+        monkeypatch.setattr(
+            cones, "discreteness_profile",
+            lambda c, depth: depths.append(depth) or profile(c, depth),
+        )
+        cert = certify_semidiscrete(cfg)
+        assert depths == [1]
+        assert cert.min_pairwise == profile(cfg, 1).final_min_pairwise
 
 
 def _scalar_seeds(cfg, seed_depth, budget=640):

@@ -13,7 +13,6 @@ from projifs.config import (
     parse_config_text,
     parse_family,
     parse_family_text,
-    write_config,
 )
 from projifs.errors import ConfigError
 from projifs.geometry import MAXENTRY, Matrix2
@@ -138,12 +137,6 @@ class TestRoundTrip:
         cfg = parse_config_text(text)
         assert cfg.norm == MAXENTRY
         assert parse_config_text(emit_config(cfg)) == cfg
-
-    def test_write_and_parse_file(self, tmp_path):
-        cfg = parse_config_text(BASIC)
-        p = tmp_path / "out.cfg"
-        write_config(cfg, p)
-        assert parse_config(p) == cfg
 
     @settings(max_examples=40, deadline=None)
     @given(m=sl2_matrices(max_log=2.0))

@@ -13,11 +13,14 @@ from conftest import random_sl2
 from projifs.config import parse_config, parse_family
 from projifs.geometry import IDENTITY2, Matrix2, op_norm
 from projifs.semigroup import (
+    DiscretenessProfile,
     ProductTable,
+    SeparationRow,
     SystemConfig,
     common_fixed_points,
     diophantine_profile,
     discreteness_profile,
+    identity_approach,
     left_invariant_dist,
     word_product,
 )
@@ -662,7 +665,7 @@ class TestDiscretenessProfile:
     def test_singleton_scaling(self):
         cfg = SystemConfig(matrices=(DIAG2,))
         prof = discreteness_profile(cfg, 4)
-        assert prof.rows[0].min_dist_to_identity == pytest.approx(
+        assert identity_approach(cfg, 4) == pytest.approx(
             math.sqrt(2.0) * math.log(2.0)
         )
         assert prof.total_collisions == 0
@@ -675,7 +678,7 @@ class TestDiscretenessProfile:
         cfg = SystemConfig(matrices=(rotation(1.0),))
         prof = discreteness_profile(cfg, 12)
         assert prof.final_min_pairwise < 0.6
-        first = prof.rows[0].min_pairwise
+        first = prof.rows[0].min_dist
         assert prof.final_min_pairwise < first
 
     def test_shallower_profile_is_the_prefix_of_the_kept_one(self):
@@ -687,7 +690,6 @@ class TestDiscretenessProfile:
         assert shallow == fresh
         assert shallow.rows == deep.rows[:8]
         assert 0 < shallow.total_collisions < deep.total_collisions
-        assert cfg.memo["discreteness"] is deep
 
     def test_rows_stay_exact_past_the_pair_limit(self, monkeypatch):
         # each row merges the level's scan within itself and against the
@@ -706,8 +708,30 @@ class TestDiscretenessProfile:
         monkeypatch.setattr(semigroup, "_EXACT_PAIR_LIMIT", 10)
         fresh = parse_config(CONFIGS / "inverse_pair.cfg")
         prof = discreteness_profile(fresh, 8)
-        assert [(r.word_count, r.min_pairwise, r.collisions)
+        assert [(r.word_count, r.min_dist, r.collisions)
                 for r in prof.rows] == want
+
+    @pytest.mark.parametrize("minima, accumulates", [
+        # depth-2 minimum 2e-3, then 9e-4: below the tolerance but not below
+        # a quarter of depth 2
+        ((3e-3, 2e-3, 9e-4), False),
+        ((1.0, 1.0, 5e-4), True),
+        ((1.0, 1.0, 1e-3), False),
+        # the last row of two is the depth-2 minimum itself
+        ((1.0, 5e-4), False),
+        # one row is its own depth-2 minimum
+        ((5e-4,), False),
+        ((math.inf,), False),
+        # no finite depth-2 minimum to compare with
+        ((math.inf, math.inf, 5e-4), True),
+        ((math.inf, math.inf, 2e-3), False),
+        ((), False),
+    ])
+    def test_accumulates(self, minima, accumulates):
+        rows = tuple(SeparationRow(n + 1, 2 ** (n + 1), d, 0)
+                     for n, d in enumerate(minima))
+        prof = DiscretenessProfile(rows=rows, total_collisions=0)
+        assert prof.accumulates is accumulates
 
 
 class TestCommonFixedPoints:
