@@ -13,6 +13,9 @@ so `report.txt` reads the same in any checkout.  The runs are
 - `certify-sd --depth 12`, whose deepest scan on a two-letter alphabet
   compares a level of 4,096 products with the 4,094 shorter ones, and
   `diophantine --depth 13`, whose level 13 is scanned by the sorted window;
+- `attractor --depth 18` and `zeta --depth 18`, whose level 18 of 262,144
+  products on a two-letter alphabet spans four row blocks of the stack
+  kernels (`geometry.BLOCK_ROWS`), so the diff crosses block boundaries;
 - `report`, `certify-uh` and `certify-sd` on the inverse of each
   single-system config, written by `emit_config` to `snapshot_inverse.cfg`
   in the current directory, so that these runs too read one path in any
@@ -71,6 +74,7 @@ VARIANTS = (
      ["--samples", "2000", "--seed", "7"]),
     ("depth-12", ("certify-sd",), ["--depth", "12"]),
     ("depth-13", ("diophantine",), ["--depth", "13"]),
+    ("depth-18", ("attractor", "zeta"), ["--depth", "18"]),
 )
 
 

@@ -24,6 +24,7 @@ from .geometry import (
     attracting_directions_array,
     normalize_angles_array,
     proj_act_array,
+    row_blocks,
 )
 from .semigroup import SystemConfig
 
@@ -50,11 +51,19 @@ class PointCloud:
 
 
 def _sorted_dedupe(pts: np.ndarray) -> np.ndarray:
+    """The distinct points of `pts`, merged at _MERGE_TOL across the wrap
+    at pi.  Sorts `pts` in place and builds the merge mask one `row_blocks`
+    block at a time, so the only full-size temporaries are that mask and
+    the result; the result does not depend on the block size."""
     if pts.size == 0:
-        return pts
-    s = np.sort(pts)
-    keep = np.concatenate([[True], np.diff(s) > _MERGE_TOL])
-    s = s[keep]
+        return np.empty(0)
+    pts.sort()
+    keep = np.empty(pts.size, dtype=bool)
+    keep[0] = True
+    for rows in row_blocks(pts.size - 1):
+        lo, hi = rows.start, rows.stop
+        keep[lo + 1:hi + 1] = pts[lo + 1:hi + 1] - pts[lo:hi] > _MERGE_TOL
+    s = pts[keep]
     if s.size > 1 and (s[0] + PI) - s[-1] <= _MERGE_TOL:
         s = s[:-1]
     return s
@@ -62,13 +71,22 @@ def _sorted_dedupe(pts: np.ndarray) -> np.ndarray:
 
 def attractor_points_fixedpoint(cfg: SystemConfig, depth: int) -> PointCloud:
     """Attracting and neutral fixed directions of all products of length
-    1..depth, merged at _MERGE_TOL."""
-    pts = np.concatenate([np.empty(0)] + [
-        attracting_directions_array(cfg.table.level(n))
-        for n in range(1, depth + 1)
-    ])
+    1..depth, merged at _MERGE_TOL.
+
+    The directions go into one buffer sized by the rows of levels
+    1..depth, filled one `row_blocks` block of a level at a time, so the
+    temporaries beside the product table are that buffer and one block;
+    the cloud does not depend on the block size."""
+    levels = [cfg.table.level(n) for n in range(1, depth + 1)]
+    buf = np.empty(sum(map(len, levels)))
+    end = 0
+    for lev in levels:
+        for rows in row_blocks(len(lev)):
+            found = attracting_directions_array(lev[rows])
+            buf[end:end + found.size] = found
+            end += found.size
     return PointCloud(
-        points=_sorted_dedupe(pts),
+        points=_sorted_dedupe(buf[:end]),
         method="fixed-point",
         depth=depth,
     )

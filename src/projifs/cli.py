@@ -290,7 +290,7 @@ def _cloud_command(args, run: _Run, fixedpoint, orbit, stem: str) -> int:
     else:
         cloud = fixedpoint(cfg, args.depth)
     _write_csv(run.path(f"{stem}.csv"), ("theta",),
-               [(float(t),) for t in cloud.points])
+               ((float(t),) for t in cloud.points))
     svg = attractor_svg(cloud, title=f"{stem}, {len(cloud)} directions")
     with open(run.path(f"{stem}.svg"), "w", encoding="utf-8") as fh:
         fh.write(svg)
@@ -419,7 +419,7 @@ def _cmd_furstenberg(args, run: _Run) -> int:
     report = support_dimension_report(sample, cloud, cfg=cfg,
                                       delta_bracket=bracket)
     _write_csv(run.path("furstenberg.csv"), ("theta",),
-               [(float(t),) for t in sample.points])
+               ((float(t),) for t in sample.points))
     _write_csv(run.path("furstenberg_summary.csv"),
                ("samples", "dropped", "residual", "hausdorff", "box_dim",
                 "box_stderr", "predicted_lo", "predicted_hi"),
@@ -558,6 +558,13 @@ def _cmd_scan_continuity(args, run: _Run) -> int:
     return 0
 
 
+def _write_report_text(run: _Run, lines) -> None:
+    text = "\n".join(lines) + "\n"
+    with open(run.path("report.txt"), "w", encoding="utf-8") as fh:
+        fh.write(text)
+    print(text, end="")
+
+
 def _cmd_report(args, run: _Run) -> int:
     cfg = _load_config(args, args.depth)
     lines = [f"system of {cfg.k} matrices from {args.config}"]
@@ -579,8 +586,14 @@ def _cmd_report(args, run: _Run) -> int:
             f"quick bound: delta >= {b.value:g} ({b.reason}, "
             f"certified {b.certified})"
         )
-    cloud, est, bracket, (plo, phi), verdict = _formula_check(
-        cfg, args.depth, args.tol)
+    try:
+        cloud, est, bracket, (plo, phi), verdict = _formula_check(
+            cfg, args.depth, args.tol)
+    except (ProjIFSError, ValueError) as exc:
+        # keep what was decided; run_command reports the error and exits 1
+        lines.append(f"formula check failed: {exc}")
+        _write_report_text(run, lines)
+        raise
     lines.append(
         f"box dimension {est.value:.4f} +- {est.stderr:.4f} "
         f"({len(cloud)} directions at depth {args.depth})"
@@ -588,15 +601,12 @@ def _cmd_report(args, run: _Run) -> int:
     lines.append(f"critical exponent in [{bracket.lo:.4f}, {bracket.hi:.4f}]")
     lines.append(f"predicted dimension min(1, delta) in [{plo:.4f}, {phi:.4f}]")
     lines.append(f"verdict: {verdict}")
-    text = "\n".join(lines) + "\n"
-    with open(run.path("report.txt"), "w", encoding="utf-8") as fh:
-        fh.write(text)
+    _write_report_text(run, lines)
     _write_csv(run.path("report.csv"),
                ("alphabet", "uh_status", "sd_status", "box_dim", "delta_lo",
                 "delta_hi", "predicted_lo", "predicted_hi", "verdict"),
                [(cfg.k, uh.status.value, sd.value, est.value,
                  bracket.lo, bracket.hi, plo, phi, verdict)])
-    print(text, end="")
     return 0
 
 

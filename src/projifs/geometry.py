@@ -40,6 +40,10 @@ OP2 = "op2"
 MAXENTRY = "max"
 NORM_KINDS = (OP2, MAXENTRY)
 
+#: Rows per block of the stack kernels that touch a whole level: their
+#: temporaries are one block in size, not one level.
+BLOCK_ROWS = 1 << 16
+
 
 class MatrixClass(enum.Enum):
     """Projective type of a unit-determinant matrix; -M and M share a class."""
@@ -271,25 +275,47 @@ def singular_directions(m: Matrix2) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 # Vectorized counterparts on (n, 2, 2) arrays.
 
+def row_blocks(n: int):
+    """Slices that cover rows 0..n-1 in order, BLOCK_ROWS rows at most each."""
+    return (slice(i, min(i + BLOCK_ROWS, n)) for i in range(0, n, BLOCK_ROWS))
+
+
 def renormalize_array(arr: np.ndarray) -> np.ndarray:
-    """Rescale every matrix in the stack to determinant one, in place."""
-    det = arr[:, 0, 0] * arr[:, 1, 1] - arr[:, 0, 1] * arr[:, 1, 0]
-    if np.any(det <= 0.0) or not np.all(np.isfinite(det)):
-        raise DegenerateMatrixError("non-positive determinant in matrix stack")
-    arr *= (det ** -0.5)[:, None, None]
+    """Rescale every matrix in the stack to determinant one, in place.
+
+    Works on `row_blocks`, so its temporaries are one block in size; each
+    row's result is the same bits whatever the block size.  A bad row
+    raises after the blocks before its own have been rescaled."""
+    for rows in row_blocks(len(arr)):
+        sub = arr[rows]
+        det = sub[:, 0, 0] * sub[:, 1, 1] - sub[:, 0, 1] * sub[:, 1, 0]
+        if np.any(det <= 0.0) or not np.all(np.isfinite(det)):
+            raise DegenerateMatrixError(
+                "non-positive determinant in matrix stack")
+        sub *= (det ** -0.5)[:, None, None]
     return arr
 
 
 def op_norms_array(arr: np.ndarray, kind: str = OP2) -> np.ndarray:
-    """Norms of a stack of det-one matrices."""
-    if kind == MAXENTRY:
-        return np.abs(arr).max(axis=(1, 2))
-    if kind != OP2:
+    """Norms of a stack of det-one matrices.
+
+    Fills its output one `row_blocks` block at a time, so its temporaries
+    are one block in size; each row's norm is the same bits whatever the
+    block size.  ||A||_F^2 is a*a + b*b + c*c + d*d, in that order."""
+    if kind not in NORM_KINDS:
         raise ValueError(f"unknown norm kind {kind!r}")
-    t = (arr * arr).sum(axis=(1, 2))
-    det = arr[:, 0, 0] * arr[:, 1, 1] - arr[:, 0, 1] * arr[:, 1, 0]
-    disc = np.maximum(t * t - 4.0 * det * det, 0.0)
-    return np.sqrt(0.5 * (t + np.sqrt(disc)))
+    out = np.empty(len(arr))
+    for rows in row_blocks(len(arr)):
+        sub = arr[rows]
+        if kind == MAXENTRY:
+            out[rows] = np.abs(sub).max(axis=(1, 2))
+        else:
+            a, b, c, d = sub[:, 0, 0], sub[:, 0, 1], sub[:, 1, 0], sub[:, 1, 1]
+            t = a * a + b * b + c * c + d * d
+            det = a * d - b * c
+            disc = np.maximum(t * t - 4.0 * det * det, 0.0)
+            out[rows] = np.sqrt(0.5 * (t + np.sqrt(disc)))
+    return out
 
 
 def normalize_angles_array(t: np.ndarray) -> np.ndarray:

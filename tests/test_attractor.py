@@ -8,6 +8,7 @@ log 2 / log 3 to rounding error.
 
 import itertools
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +30,14 @@ from projifs.attractor import (
 )
 from projifs.config import parse_config, parse_family
 from projifs.errors import NonConvergenceError
-from projifs.geometry import PI, Matrix2, circ_dist, normalize_angle
+from projifs.geometry import (
+    BLOCK_ROWS,
+    PI,
+    Matrix2,
+    attracting_directions_array,
+    circ_dist,
+    normalize_angle,
+)
 from projifs.semigroup import SystemConfig
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
@@ -98,6 +106,61 @@ class TestFixedPointClouds:
             SystemConfig(matrices=(rot,)), depth=3
         )
         assert len(cloud) == 0
+
+
+def _one_shot_cloud(cfg, depth):
+    """attractor_points_fixedpoint as whole-level formulas, before row
+    blocks: one concatenate, one np.sort copy and one np.diff."""
+    pts = np.concatenate([
+        attracting_directions_array(cfg.table.level(n))
+        for n in range(1, depth + 1)
+    ])
+    s = np.sort(pts)
+    s = s[np.concatenate([[True], np.diff(s) > attractor._MERGE_TOL])]
+    if s.size > 1 and (s[0] + PI) - s[-1] <= attractor._MERGE_TOL:
+        s = s[:-1]
+    return s
+
+
+class TestRowBlocks:
+    def test_three_letter_depth_11_matches_one_shot(self):
+        # level 11 has 3^11 = 177,147 rows: three blocks
+        cfg = SystemConfig(matrices=POSITIVE_PAIR.matrices
+                           + (Matrix2(3.0, 2.0, 1.0, 1.0),))
+        assert cfg.k ** 11 > 2 * BLOCK_ROWS
+        got = attractor_points_fixedpoint(cfg, 11).points
+        assert got.tobytes() == _one_shot_cloud(cfg, 11).tobytes()
+
+    def test_points_merge_across_a_block_boundary(self):
+        n = 2 * BLOCK_ROWS + 3
+        pts = 0.5 + 1e-5 * np.arange(n)
+        half = 0.5 * attractor._MERGE_TOL
+        # one close pair straddles sorted index BLOCK_ROWS, one lies just
+        # past index 2 * BLOCK_ROWS
+        for i in (BLOCK_ROWS, 2 * BLOCK_ROWS + 1):
+            pts[i] = pts[i - 1] + half
+        want = np.delete(pts, [BLOCK_ROWS, 2 * BLOCK_ROWS + 1])
+        shuffled = np.random.default_rng(5).permutation(pts)
+        got = attractor._sorted_dedupe(shuffled)
+        assert got.tobytes() == want.tobytes()
+
+    def test_cloud_temporaries_are_one_buffer(self):
+        cfg = SystemConfig(matrices=POSITIVE_PAIR.matrices)
+        depth = 19
+        cfg.table.level(depth)
+        rows = sum(len(cfg.table.level(n)) for n in range(1, depth + 1))
+        block = cfg.table.level(1)[:1].nbytes * BLOCK_ROWS
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            attractor_points_fixedpoint(cfg, depth)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        # the float buffer and its merge mask, plus block temporaries;
+        # before row blocks: 47 MB of whole-level temporaries
+        assert peak <= 9 * rows + 4 * block, peak
 
 
 class TestOrbitClouds:

@@ -312,6 +312,31 @@ class TestCsvContracts:
         assert row["uh_status"] == "certified"
         assert (tmp_path / "report.txt").exists()
 
+    def test_report_without_a_cloud_keeps_what_it_decided(
+        self, tmp_path, capsys
+    ):
+        # one elliptic letter, the rotation by 5e-4: no hyperbolic or
+        # parabolic product, so the formula check's cloud is empty
+        c, s = math.cos(5e-4), math.sin(5e-4)
+        path = tmp_path / "rotation.cfg"
+        path.write_text(emit_config(SystemConfig(
+            matrices=(Matrix2(c, -s, s, c),))))
+        out = tmp_path / "out"
+        assert run_command(
+            ["report", "--config", str(path), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        text = (out / "report.txt").read_text()
+        assert captured.out == text
+        lines = text.splitlines()
+        assert lines[0] == f"system of 1 matrices from {path}"
+        assert lines[1].endswith("elliptic")
+        assert lines[2] == "irreducible"
+        assert lines[3].startswith("uniform hyperbolicity: ")
+        assert lines[4].startswith("semidiscreteness: ")
+        assert lines[-1] == "formula check failed: empty point cloud"
+        assert captured.err == "error: empty point cloud\n"
+        assert not (out / "report.csv").exists()
+
     @pytest.mark.parametrize("command, option", [
         ("critexp", ["--depth", "12"]),
         ("dimension", ["--depth", "12"]),

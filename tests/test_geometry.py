@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +10,7 @@ from conftest import random_sl2, sl2_matrices
 from projifs.config import parse_config, parse_family
 from projifs.errors import DegenerateDirectionsError, DegenerateMatrixError
 from projifs.geometry import (
+    BLOCK_ROWS,
     CLASS_TOL,
     IDENTITY2,
     PI,
@@ -28,6 +30,7 @@ from projifs.geometry import (
     proj_act_array,
     proj_deriv,
     renormalize_array,
+    row_blocks,
     singular_directions,
 )
 
@@ -272,6 +275,91 @@ class TestArrayHelpers:
             ns = op_norms_array(arr, kind)
             for m, n in zip(ms, ns):
                 assert n == pytest.approx(op_norm(m, kind), rel=1e-12)
+
+
+def _one_shot_renormalize(arr):
+    """renormalize_array as one whole-stack formula, before row blocks."""
+    det = arr[:, 0, 0] * arr[:, 1, 1] - arr[:, 0, 1] * arr[:, 1, 0]
+    arr *= (det ** -0.5)[:, None, None]
+    return arr
+
+
+def _one_shot_op_norms(arr, kind):
+    """op_norms_array as one whole-stack formula, before row blocks."""
+    if kind == "max":
+        return np.abs(arr).max(axis=(1, 2))
+    t = (arr * arr).sum(axis=(1, 2))
+    det = arr[:, 0, 0] * arr[:, 1, 1] - arr[:, 0, 1] * arr[:, 1, 0]
+    disc = np.maximum(t * t - 4.0 * det * det, 0.0)
+    return np.sqrt(0.5 * (t + np.sqrt(disc)))
+
+
+def _random_det_one_stack(n, seed):
+    """n rows R(a) diag(s, 1/s) R(b) with s log-uniform in [1, 1e8]."""
+    rng = np.random.default_rng(seed)
+    s = 10.0 ** rng.uniform(0.0, 8.0, n)
+    a, b = rng.uniform(0.0, 2.0 * PI, (2, n))
+    ca, sa, cb, sb = np.cos(a), np.sin(a), np.cos(b), np.sin(b)
+    arr = np.empty((n, 2, 2))
+    arr[:, 0, 0] = ca * s * cb - sa / s * sb
+    arr[:, 0, 1] = -ca * s * sb - sa / s * cb
+    arr[:, 1, 0] = sa * s * cb + ca / s * sb
+    arr[:, 1, 1] = -sa * s * sb + ca / s * cb
+    return arr
+
+
+class TestRowBlocks:
+    """The stack kernels work on row blocks; their bits must not depend on
+    it, and their temporaries must be one block in size, not one stack."""
+
+    N = 2 * BLOCK_ROWS + 3
+
+    def test_blocks_cover_the_rows_in_order(self):
+        for n in (0, 1, BLOCK_ROWS, self.N):
+            blocks = list(row_blocks(n))
+            assert [i for b in blocks for i in range(n)[b]] == list(range(n))
+            assert all(b.stop - b.start <= BLOCK_ROWS for b in blocks)
+        assert len(list(row_blocks(self.N))) == 3
+
+    def test_renormalize_matches_one_shot(self):
+        arr = _random_det_one_stack(self.N, 28)
+        arr *= np.random.default_rng(29).uniform(0.5, 2.0, self.N)[:, None, None]
+        want = _one_shot_renormalize(arr.copy())
+        assert renormalize_array(arr).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("kind", ["op2", "max"])
+    def test_op_norms_match_one_shot(self, kind):
+        arr = _random_det_one_stack(self.N, 28)
+        want = _one_shot_op_norms(arr, kind)
+        assert op_norms_array(arr, kind).tobytes() == want.tobytes()
+
+    def test_renormalize_rejects_a_bad_row_in_a_later_block(self):
+        arr = _random_det_one_stack(self.N, 30)
+        arr[-1, 0, 0] = arr[-1, 0, 1] = 0.0
+        with pytest.raises(DegenerateMatrixError):
+            renormalize_array(arr)
+
+    @staticmethod
+    def _peak_bytes(fn):
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            fn()
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    def test_temporaries_are_one_block_in_size(self):
+        n = 1 << 19
+        arr = _random_det_one_stack(n, 31)
+        block = arr[:BLOCK_ROWS].nbytes
+        # before row blocks: 21 MB and 8.5 MB, whole-stack temporaries
+        for kind in ("op2", "max"):
+            peak = self._peak_bytes(lambda: op_norms_array(arr, kind))
+            assert peak <= 8 * n + 2 * block, (kind, peak)
+        peak = self._peak_bytes(lambda: renormalize_array(arr))
+        assert peak <= block, peak
 
 
 def _reference_attracting_directions(arr):
