@@ -14,7 +14,7 @@ so `report.txt` reads the same in any checkout.  The runs are
   compares a level of 4,096 products with the 4,094 shorter ones, and
   `diophantine --depth 13`, whose level 13 is scanned by the sorted window;
 - `attractor --depth 18` and `zeta --depth 18`, whose level 18 of 262,144
-  products on a two-letter alphabet spans four row blocks of the stack
+  products on a two-letter alphabet spans 32 row blocks of the stack
   kernels (`geometry.BLOCK_ROWS`), so the diff crosses block boundaries;
 - `report`, `certify-uh` and `certify-sd` on the inverse of each
   single-system config, written by `emit_config` to `snapshot_inverse.cfg`

@@ -220,7 +220,7 @@ def box_dimension(cloud, eps_values=None) -> DimensionEstimate:
     bins) or drops below 10 boxes are excluded, and so are scales too fine
     for the cloud to resolve (boxes averaging fewer than 8 points count the
     sample rather than the set), though never so many that fewer than
-    _MIN_SCALES survive.
+    _MIN_SCALES survive.  A repeated box size counts as one scale.
 
     The folded cloud is sorted once.  IEEE division by eps > 0 and floor are
     both monotone, so the box indices floor(theta / eps) of the sorted cloud
@@ -234,6 +234,8 @@ def box_dimension(cloud, eps_values=None) -> DimensionEstimate:
         eps_values = [PI / 2.0 ** k for k in range(3, 15)]
     if not all(math.isfinite(e) and e > 0.0 for e in eps_values):
         raise ValueError(f"box sizes must be finite and positive: {eps_values}")
+    # a repeated size is one scale: the fit needs distinct x values
+    eps_values = sorted(set(eps_values), reverse=True)
     folded = np.sort(np.mod(pts, PI))
 
     def occupied(e: float) -> int:
@@ -246,14 +248,14 @@ def box_dimension(cloud, eps_values=None) -> DimensionEstimate:
             stderr=0.0,
             scales=(),
             counts=(),
-            dropped_scales=tuple(sorted(eps_values, reverse=True)),
+            dropped_scales=tuple(eps_values),
             notes=(
                 "fewer than 10 occupied boxes at the finest scale; "
                 "the cloud is effectively finite",
             ),
         )
     rows, dropped = [], []
-    for e in sorted(eps_values, reverse=True):
+    for e in eps_values:
         n_boxes = occupied(e)
         total = math.ceil(PI / e)
         if n_boxes >= 0.95 * total or n_boxes < 10:

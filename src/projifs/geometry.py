@@ -41,8 +41,12 @@ MAXENTRY = "max"
 NORM_KINDS = (OP2, MAXENTRY)
 
 #: Rows per block of the stack kernels that touch a whole level: their
-#: temporaries are one block in size, not one level.
-BLOCK_ROWS = 1 << 16
+#: temporaries are one block in size, not one level.  At 8,192 rows a
+#: block's float temporary is 64 KB: it stays in L2 cache and the allocator
+#: reuses it.  Blocks of 65,536 rows make each temporary a fresh 512 KB
+#: mapping whose first touch page-faults, which nearly doubles the direction
+#: kernel's time per row.
+BLOCK_ROWS = 1 << 13
 
 
 class MatrixClass(enum.Enum):
@@ -288,12 +292,30 @@ def renormalize_array(arr: np.ndarray) -> np.ndarray:
     raises after the blocks before its own have been rescaled."""
     for rows in row_blocks(len(arr)):
         sub = arr[rows]
-        det = sub[:, 0, 0] * sub[:, 1, 1] - sub[:, 0, 1] * sub[:, 1, 0]
+        det = sub[:, 0, 0] * sub[:, 1, 1]
+        det -= sub[:, 0, 1] * sub[:, 1, 0]
         if np.any(det <= 0.0) or not np.all(np.isfinite(det)):
             raise DegenerateMatrixError(
                 "non-positive determinant in matrix stack")
-        sub *= (det ** -0.5)[:, None, None]
+        det **= -0.5
+        sub *= det[:, None, None]
     return arr
+
+
+def left_multiply_array(m: np.ndarray, arr: np.ndarray,
+                        out: np.ndarray) -> np.ndarray:
+    """out[i] = m @ arr[i], renormalized to determinant one, for a 2x2
+    array m, an (n, 2, 2) stack arr and a C-contiguous (n, 2, 2) out.
+
+    On flattened rows the product is one GEMM against kron(m, I).T, run
+    one `row_blocks` block at a time and renormalized while the block is
+    in cache; each row is the same bits as np.matmul(m, arr[i])."""
+    src, dst = arr.reshape(-1, 4), out.reshape(-1, 4)
+    left = np.kron(m, np.eye(2)).T
+    for rows in row_blocks(len(arr)):
+        np.matmul(src[rows], left, out=dst[rows])
+        renormalize_array(out[rows])
+    return out
 
 
 def op_norms_array(arr: np.ndarray, kind: str = OP2) -> np.ndarray:
@@ -319,7 +341,10 @@ def op_norms_array(arr: np.ndarray, kind: str = OP2) -> np.ndarray:
 
 
 def normalize_angles_array(t: np.ndarray) -> np.ndarray:
-    t = np.mod(t, PI)
+    """Fold arctan2 output, angles in [-pi, pi], into (0, pi]: the same bits
+    as np.mod(t, PI) with 0 sent to PI, on that domain only (-0.0 and -pi
+    go to PI, NaN stays NaN)."""
+    t = np.where(t > 0.0, t, t + PI)
     t[t == 0.0] = PI
     return t
 
@@ -343,20 +368,20 @@ def attracting_directions_array(arr: np.ndarray) -> np.ndarray:
     """Attracting fixed directions of the hyperbolic matrices in a det-one
     stack and neutral ones of the parabolic matrices, in stack order; the
     vector counterpart of `fixed_points`, classified by `classify_array`.
-    Elliptic and +-identity matrices contribute nothing."""
-    a, b, c, d = arr[:, 0, 0], arr[:, 0, 1], arr[:, 1, 0], arr[:, 1, 1]
-    tr = a + d
+    Elliptic and +-identity matrices contribute nothing.  The selected rows
+    are gathered first, so the formulas run on those rows alone."""
     sel = np.logical_or(*classify_array(arr))
     if not sel.any():
         return np.empty(0)
+    a, b, c, d = np.compress(sel, arr.reshape(-1, 4), axis=0).T
+    tr = a + d
     disc = np.sqrt(np.maximum(tr * tr - 4.0, 0.0))
     lam = 0.5 * (tr + np.sign(tr) * disc)
-    v1x, v1y = b, lam - a
-    v2x, v2y = lam - d, c
-    use1 = v1x * v1x + v1y * v1y >= v2x * v2x + v2y * v2y
-    vx = np.where(use1, v1x, v2x)
-    vy = np.where(use1, v1y, v2y)
-    return normalize_angles_array(np.arctan2(vy[sel], vx[sel]))
+    # eigenvector candidates (b, lam - a) and (lam - d, c)
+    v1y, v2x = lam - a, lam - d
+    use1 = b * b + v1y * v1y >= v2x * v2x + c * c
+    return normalize_angles_array(
+        np.arctan2(np.where(use1, v1y, c), np.where(use1, b, v2x)))
 
 
 def proj_act_array(m: Matrix2, thetas: np.ndarray) -> np.ndarray:

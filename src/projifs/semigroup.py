@@ -27,6 +27,7 @@ from .geometry import (
     MatrixClass,
     circ_dist,
     fixed_points,
+    left_multiply_array,
     op_norms_array,
     proj_act,
     renormalize_array,
@@ -150,8 +151,9 @@ class ProductTable:
 
     level(n) is a (k^n, 2, 2) array in lexicographic word order (word(n, i)
     is the word of row i), renormalized to determinant one.  norms(n) caches
-    the matching norm vector.  A level is one broadcast product: every letter
-    left-multiplies the whole previous level, and the letter-major result is
+    the matching norm vector.  A level is built letter by letter: each letter
+    left-multiplies the whole previous level into its own slice, one GEMM
+    per row block (`left_multiply_array`), and the letter-major result is
     exactly lexicographic order.  Levels of more than _HARD_LEVEL_WORDS
     words raise BudgetExceededError.
 
@@ -179,11 +181,12 @@ class ProductTable:
                 depth_reached=max(self._levels, default=0),
             )
         if n == 1:
-            lev = self._base.copy()
+            lev = renormalize_array(self._base.copy())
         else:
             prev = self.level(n - 1)
-            lev = np.matmul(self._base[:, None], prev[None]).reshape(-1, 2, 2)
-        renormalize_array(lev)
+            lev = np.empty((self.k * len(prev), 2, 2))
+            for m, out in zip(self._base, np.split(lev, self.k)):
+                left_multiply_array(m, prev, out)
         # every analysis of the system shares this array
         lev.flags.writeable = False
         self._levels[n] = lev

@@ -286,6 +286,16 @@ class TestBoxDimension:
         with pytest.raises(ValueError, match="usable scales"):
             box_dimension(np.linspace(1.5, 3.0, 30000), eps_values=[0.05, 0.04])
 
+    def test_repeated_box_sizes_count_once(self):
+        # four copies of one size are one scale, not four equal x values
+        # for the line fit
+        cloud = np.linspace(0.1, 3.0, 20)
+        with pytest.raises(ValueError, match="only 1 usable scales"):
+            box_dimension(cloud, eps_values=[0.125] * 4)
+        eps = [1.5 * 3.0 ** -k for k in range(2, 9)]
+        want = box_dimension(cantor_angles(12), eps_values=eps)
+        assert box_dimension(cantor_angles(12), eps_values=eps + eps[::2]) == want
+
     def test_empty_cloud_raises(self):
         with pytest.raises(ValueError, match="empty"):
             box_dimension(np.empty(0))
@@ -311,6 +321,8 @@ def _reference_box_dimension(cloud, eps_values=None):
         raise ValueError("empty point cloud")
     if eps_values is None:
         eps_values = [PI / 2.0 ** k for k in range(3, 15)]
+    # repeated sizes are one scale, as in box_dimension
+    eps_values = sorted(set(eps_values), reverse=True)
     folded = np.mod(pts, PI)
     finest = min(eps_values)
     if len(np.unique(np.floor(folded / finest).astype(np.int64))) < 10:

@@ -22,6 +22,7 @@ from projifs.geometry import (
     classify,
     classify_array,
     fixed_points,
+    left_multiply_array,
     normalize_angle,
     normalize_angles_array,
     op_norm,
@@ -33,6 +34,7 @@ from projifs.geometry import (
     row_blocks,
     singular_directions,
 )
+from projifs.semigroup import SystemConfig
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -294,10 +296,10 @@ def _one_shot_op_norms(arr, kind):
     return np.sqrt(0.5 * (t + np.sqrt(disc)))
 
 
-def _random_det_one_stack(n, seed):
-    """n rows R(a) diag(s, 1/s) R(b) with s log-uniform in [1, 1e8]."""
+def _random_det_one_stack(n, seed, decades=8.0):
+    """n rows R(a) diag(s, 1/s) R(b) with s log-uniform in [1, 10**decades]."""
     rng = np.random.default_rng(seed)
-    s = 10.0 ** rng.uniform(0.0, 8.0, n)
+    s = 10.0 ** rng.uniform(0.0, decades, n)
     a, b = rng.uniform(0.0, 2.0 * PI, (2, n))
     ca, sa, cb, sb = np.cos(a), np.sin(a), np.cos(b), np.sin(b)
     arr = np.empty((n, 2, 2))
@@ -362,6 +364,88 @@ class TestRowBlocks:
         assert peak <= block, peak
 
 
+def _batched_level(base, prev):
+    """The next level as the one broadcast product that left_multiply_array
+    replaced: one np.matmul call per 2x2 product, then the rescale."""
+    return renormalize_array(
+        np.matmul(base[:, None], prev[None]).reshape(-1, 2, 2))
+
+
+def _check_left_multiply(base, prev):
+    want = np.split(_batched_level(base, prev), len(base))
+    for m, rows in zip(base, want):
+        got = left_multiply_array(m, prev, np.empty_like(prev))
+        assert got.tobytes() == rows.tobytes(), m
+
+
+class TestLeftMultiply:
+    """Each letter's slice of a level is one GEMM per row block; its bits
+    must be those of the broadcast product."""
+
+    def test_random_stack_over_several_blocks(self):
+        n = 3 * BLOCK_ROWS + 5
+        prev = _random_det_one_stack(n, 32, decades=7.0)
+        rng = np.random.default_rng(33)
+        letters = [random_sl2(rng).array for _ in range(3)]
+        letters += [DIAG2.array, SHEAR.array, rotation(0.7).array, -np.eye(2)]
+        _check_left_multiply(np.stack(letters), prev)
+
+    def test_signed_zeros(self):
+        zeros = (0.0, -0.0)
+        rows = [
+            [[x, b], [c, 1.0 / x]]
+            for x in (0.5, 2.0, -3.0) for b in zeros for c in zeros
+        ]
+        rows += [[[1.0, b], [c, 1.0]] for b in (1.0, -2.0) for c in zeros]
+        rows += [[[1.0, b], [c, 1.0]] for b in zeros for c in (1.0, -2.0)]
+        prev = np.array(rows)
+        base = np.array([
+            [[0.5, -0.0], [-0.0, 2.0]],
+            [[2.0, 0.0], [-0.0, 0.5]],
+            [[-1.0, -0.0], [0.0, -1.0]],
+            [[1.0, 1.0], [-0.0, 1.0]],
+        ])
+        _check_left_multiply(base, prev)
+        _check_left_multiply(base, np.tile(prev, (BLOCK_ROWS // 8, 1, 1)))
+
+    def test_rejects_a_singular_product_row(self):
+        prev = _random_det_one_stack(BLOCK_ROWS + 3, 34)
+        prev[-1] = 0.0
+        with pytest.raises(DegenerateMatrixError):
+            left_multiply_array(DIAG2.array, prev, np.empty_like(prev))
+
+
+def _reference_fold(t):
+    """np.mod(t, PI) with zeros sent to PI: the fold normalize_angles_array
+    replaced."""
+    t = np.mod(t, PI)
+    t[t == 0.0] = PI
+    return t
+
+
+class TestFold:
+    """normalize_angles_array on arctan2's range [-pi, pi] is the mod-pi
+    fold, bit for bit."""
+
+    def test_matches_mod_on_arctan2_output(self):
+        rng = np.random.default_rng(35)
+        y, x = rng.standard_normal((2, 10**6)) * 10.0 ** rng.uniform(
+            -300.0, 300.0, (2, 10**6))
+        t = np.arctan2(y, x)
+        assert normalize_angles_array(t).tobytes() == _reference_fold(t).tobytes()
+
+    def test_matches_mod_on_edge_values(self):
+        edges = [0.0, -0.0, PI, -PI, np.nextafter(PI, 0.0),
+                 np.nextafter(-PI, 0.0), 5e-324, -5e-324, math.nan]
+        axes = [np.arctan2(y, x) for y in (0.0, -0.0)
+                for x in (1.0, -1.0, 0.0, -0.0, math.inf, -math.inf)]
+        assert PI in axes and -PI in axes
+        t = np.array(edges + axes)
+        got = normalize_angles_array(t)
+        assert got.tobytes() == _reference_fold(t).tobytes()
+        assert got[3] == PI and np.isnan(got[8])
+
+
 def _reference_attracting_directions(arr):
     """The whole-stack +-I test that attracting_directions_array replaced,
     kept as its reference."""
@@ -387,7 +471,7 @@ def _reference_attracting_directions(arr):
     use1 = v1x * v1x + v1y * v1y >= v2x * v2x + v2y * v2y
     vx = np.where(use1, v1x, v2x)
     vy = np.where(use1, v1y, v2y)
-    return normalize_angles_array(np.arctan2(vy[sel], vx[sel]))
+    return _reference_fold(np.arctan2(vy[sel], vx[sel]))
 
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -413,6 +497,25 @@ def test_attracting_directions_match_reference_on_levels(cfg):
         lev = cfg.table.level(n)
         got = attracting_directions_array(lev)
         assert got.tobytes() == _reference_attracting_directions(lev).tobytes(), n
+
+
+def test_attracting_directions_match_reference_on_a_level_of_many_blocks():
+    # integer letters: the shear, its inverse and the quarter turn; level 10
+    # holds +-I, parabolic, elliptic and hyperbolic rows
+    inv_shear = Matrix2(1.0, -1.0, 0.0, 1.0)
+    cfg = SystemConfig(matrices=(SHEAR, inv_shear, ROT90))
+    lev = cfg.table.level(10)
+    assert len(lev) > 2 * BLOCK_ROWS
+    hyp, par = classify_array(lev)
+    eye = np.eye(2)
+    assert hyp.any() and par.any()
+    assert (lev == eye).all(axis=(1, 2)).any()
+    assert (lev == -eye).all(axis=(1, 2)).any()
+    want = _reference_attracting_directions(lev)
+    assert attracting_directions_array(lev).tobytes() == want.tobytes()
+    blocks = [attracting_directions_array(lev[rows])
+              for rows in row_blocks(len(lev))]
+    assert np.concatenate(blocks).tobytes() == want.tobytes()
 
 
 def _near_parabolic(e, sign=1.0):

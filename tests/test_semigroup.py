@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import random_sl2
 from projifs.config import parse_config, parse_family
-from projifs.geometry import IDENTITY2, Matrix2, op_norm
+from projifs.geometry import IDENTITY2, Matrix2, op_norm, renormalize_array
 from projifs.semigroup import (
     DiscretenessProfile,
     ProductTable,
@@ -134,6 +134,35 @@ class TestProductTable:
                 table.depth_within(260_000, cap),
             )
             assert new == _budget_loops(k, cap), cap
+
+
+def _bundled_systems():
+    plain = sorted(
+        p for p in CONFIGS.glob("*.cfg") if not p.stem.startswith("family_")
+    )
+    out = []
+    for p in plain:
+        cfg = parse_config(p)
+        out += [pytest.param(cfg, id=p.stem),
+                pytest.param(cfg.inverse(), id=f"{p.stem}-inverse")]
+    # at t = 0 both letters are the identity: every level is exact zeros
+    # and ones
+    limit = parse_family(CONFIGS / "family_identity_limit.cfg").at(0.0)
+    return out + [pytest.param(limit, id="identity_limit-0.0")]
+
+
+@pytest.mark.parametrize("cfg", _bundled_systems())
+def test_levels_match_the_broadcast_product(cfg):
+    """Each level is the bits of the one broadcast product that the
+    per-letter GEMMs replaced, to the deepest level of at most 2**16 rows."""
+    table = ProductTable(cfg)
+    base = np.stack([m.array for m in cfg.matrices])
+    prev = renormalize_array(base.copy())
+    assert table.level(1).tobytes() == prev.tobytes()
+    for n in range(2, table.depth_within(1 << 16, 40) + 1):
+        prev = renormalize_array(
+            np.matmul(base[:, None], prev[None]).reshape(-1, 2, 2))
+        assert table.level(n).tobytes() == prev.tobytes(), n
 
 
 def _budget_loops(k, cap):
